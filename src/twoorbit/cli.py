@@ -1,35 +1,37 @@
 """Command-line front end.
 
 Subcommands: roots, flag, dim, table, check, verify.  Exit status is 0 on
-success, 1 on a verification mismatch, 2 on usage or parse errors.
+success, 1 on a verification mismatch, 2 on usage or parse errors, 141 when
+stdout is closed before all of the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fixtures
 from .flagvar import ParabolicMarking, flag_invariants
 from .pasquier import (
-    TripleSpec,
+    RECORD_FIELDS,
     enumerate_triples,
     parse_triple_id,
     report_record,
     stability_verdict,
-    weight_label,
 )
-from .rootsys import DynkinType, UnsupportedTypeError, Weight, build_root_system, weyl_dim
+from .rootsys import (
+    DynkinType,
+    UnsupportedTypeError,
+    Weight,
+    build_root_system,
+    node_labels,
+    weight_label,
+    weyl_dim,
+)
 
 FORMATS = ("md", "csv", "json")
-
-RECORD_FIELDS = (
-    "triple", "family", "n", "k",
-    "dim_Y", "c1_Y", "dim_Z", "c1_Z", "dim_X", "r_X", "codim_Z",
-    "rank_EY", "c1_EY", "rank_F", "c1_F",
-    "mu_F", "mu_Theta", "verdict",
-)
 
 
 class UsageError(ValueError):
@@ -63,19 +65,13 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
         factor = dynkin.factors[factor_pos - 1]
         if not node_text.isdigit() or not 1 <= int(node_text) <= factor.rank:
             raise UsageError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
-        indices.append(offsets[factor_pos - 1] + int(node_text) - 1)
+        index = offsets[factor_pos - 1] + int(node_text) - 1
+        if index in indices:
+            raise UsageError(f"node {token!r} is marked twice")
+        indices.append(index)
     if not indices:
         raise UsageError("empty node list")
     return ParabolicMarking(frozenset(indices))
-
-
-def _node_labels(dynkin: DynkinType) -> list[str]:
-    if len(dynkin.factors) == 1:
-        return [str(i + 1) for i in range(dynkin.rank)]
-    labels = []
-    for pos, f in enumerate(dynkin.factors, start=1):
-        labels.extend(f"{pos}.{i + 1}" for i in range(f.rank))
-    return labels
 
 
 def cmd_roots(args) -> int:
@@ -94,18 +90,14 @@ def cmd_roots(args) -> int:
 
 def cmd_flag(args) -> int:
     dynkin = _parse_type(args.type)
-    rs = build_root_system(dynkin)
     marking = _parse_nodes(dynkin, args.mark)
-    inv = flag_invariants(rs, marking)
-    labels = _node_labels(dynkin)
+    inv = flag_invariants(dynkin, marking)
+    labels = node_labels(dynkin)
     marked = ",".join(labels[i] for i in sorted(marking.marked))
-    anti = "+".join(
-        f"{int(c)}w{labels[i]}" for i, c in enumerate(inv.anticanonical.coeffs) if c
-    )
     print(f"type: {dynkin}  marked: {marked}")
     print(f"dimension: {inv.dimension}")
     print(f"picard_rank: {inv.picard_rank}")
-    print(f"anticanonical: {anti}")
+    print(f"anticanonical: {weight_label(dynkin, inv.anticanonical)}")
     if inv.index is not None:
         print(f"index: {inv.index}")
     return 0
@@ -230,7 +222,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `twoorbit table | head` does: send
+        # what is left to devnull so the exit flush cannot fail again, and exit
+        # as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,14 +9,12 @@ fundamental-weight basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rootsys import (
     DynkinType,
     Root,
     RootSystem,
     Weight,
-    closure_from_cartan,
     root_to_weight,
 )
 
@@ -47,14 +45,26 @@ class FlagInvariants:
     index: int | None  # present iff the parabolic is maximal
 
 
-def _check(rs: RootSystem, m: ParabolicMarking) -> None:
-    bad = [i for i in m.marked if not 0 <= i < rs.rank]
+def _check(rank: int, m: ParabolicMarking) -> None:
+    bad = [i for i in m.marked if not 0 <= i < rank]
     if bad:
-        raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rs.rank - 1}")
+        raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rank - 1}")
 
+
+def _index(anti: Weight, m: ParabolicMarking) -> int:
+    """The Fano index: the coefficient of -K on the node of a maximal parabolic."""
+    if len(m.marked) != 1:
+        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
+    (node,) = m.marked
+    return int(anti.coeffs[node])
+
+
+# --- root enumeration --------------------------------------------------------
+#
+# Kept as the reference the diagram path below is tested against.
 
 def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[Root]:
-    _check(rs, m)
+    _check(rs.rank, m)
     return [a for a in rs.positive_roots if any(a.coeffs[i] for i in m.marked)]
 
 
@@ -65,7 +75,6 @@ def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
 
 def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
     """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
-    _check(rs, m)
     total = [0] * rs.rank
     for a in nilradical_roots(rs, m):
         for j, c in enumerate(a.coeffs):
@@ -75,37 +84,27 @@ def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
 
 def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
     """Fano index of G/P for a maximal parabolic (singleton marking)."""
-    if len(m.marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
-    (node,) = m.marked
-    return int(anticanonical_weight(rs, m).coeffs[node])
+    return _index(anticanonical_weight(rs, m), m)
 
 
-# --- Levi-decomposition fast path -------------------------------------------
+# --- the diagram path --------------------------------------------------------
 #
-# For large rank, materializing the positive roots is wasteful: the nilradical
-# count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical weight is
-# 2*rho - sum(Phi+(Levi)) which vanishes off the marked set.  Every supported
-# factor diagram is a chain, so the Levi splits into runs of consecutive
-# unmarked nodes and only run boundaries touch the marked coefficients.
+# The nilradical count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical
+# weight is 2*rho - sum(Phi+(Levi)), which vanishes off the marked set.  Every
+# supported factor diagram is a chain, so the Levi splits into runs of
+# consecutive unmarked nodes, each of a type known in closed form, and only
+# the two end coefficients of a run's 2*rho touch the marked nodes.
 
-_SMALL_COMPONENT = 8
-
-
-def _factor_root_count(series: str, rank: int) -> int:
-    if series == "A":
-        return rank * (rank + 1) // 2
-    if series in ("B", "C"):
-        return rank * rank
-    return {"F": 24, "G": 6}[series]
+# runs of F4 and G2 that are neither of type A nor B_s ending at a short node
+_EXCEPTIONAL_RUNS = {
+    ("F", 1, 3): (9, 6, 6),  # C3, long node first
+    ("F", 0, 3): (24, 16, 22),
+    ("G", 0, 1): (6, 6, 10),
+}
 
 
 def _chain_entry(series: str, rank: int, i: int, j: int) -> int:
-    """Cartan entry a[i][j] within one factor, without building the matrix."""
-    if i == j:
-        return 2
-    if abs(i - j) != 1:
-        return 0
+    """Cartan entry a[i][j] of adjacent nodes within one factor, without building the matrix."""
     if series == "B" and (i, j) == (rank - 1, rank - 2):
         return -2
     if series == "C" and (i, j) == (rank - 2, rank - 1):
@@ -117,90 +116,72 @@ def _chain_entry(series: str, rank: int, i: int, j: int) -> int:
     return -1
 
 
-@lru_cache(maxsize=None)
-def _component_data(series: str, factor_rank: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """(root count, first and last coefficient of the run's 2*rho) for one Levi run."""
+def _run_data(series: str, rank: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(root count, first and last coefficient of 2*rho) of the Levi run lo..hi of one factor."""
+    if (series, lo, hi) in _EXCEPTIONAL_RUNS:
+        return _EXCEPTIONAL_RUNS[series, lo, hi]
     s = hi - lo + 1
-    if s <= _SMALL_COMPONENT:
-        sub = [
-            [_chain_entry(series, factor_rank, lo + i, lo + j) for j in range(s)]
-            for i in range(s)
-        ]
-        roots = closure_from_cartan(sub)
-        total = [sum(r[j] for r in roots) for j in range(s)]
-        return len(roots), total[0], total[-1]
-    # large runs only arise inside A, B or C chains
-    if series in ("B", "C") and hi == factor_rank - 1:
-        count = s * s
-        first = 2 * s - 1 if series == "B" else 2 * s
-        last = s * s if series == "B" else s * (s + 1) // 2
-        return count, first, last
+    if series == "B" and hi == rank - 1 or series == "F" and hi == 2:
+        return s * s, 2 * s - 1, s * s
+    if series == "C" and hi == rank - 1 and s > 1:
+        return s * s, 2 * s, s * (s + 1) // 2
     return s * (s + 1) // 2, s, s
 
 
-def _levi_runs(rank: int, marked: set[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive unmarked nodes in a chain diagram."""
-    runs, start = [], None
-    for i in range(rank + 1):
-        if i < rank and i not in marked:
-            start = i if start is None else start
-        elif start is not None:
+def _levi_runs(rank: int, marked: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs of unmarked nodes in a chain of `rank` nodes, given its sorted marked nodes."""
+    runs, start = [], 0
+    for i in marked:
+        if i > start:
             runs.append((start, i - 1))
-            start = None
+        start = i + 1
+    if start < rank:
+        runs.append((start, rank - 1))
     return runs
+
+
+def _factor_markings(dynkin: DynkinType, m: ParabolicMarking):
+    """(factor, offset, sorted marked nodes local to the factor) for each factor."""
+    _check(dynkin.rank, m)
+    marked = sorted(m.marked)
+    for offset, f in zip(dynkin.factor_offsets(), dynkin.factors):
+        yield f, offset, [i - offset for i in marked if offset <= i < offset + f.rank]
 
 
 def flag_dimension_of_type(dynkin: DynkinType, m: ParabolicMarking) -> int:
     """flag_dimension computed from the diagram alone, without root enumeration."""
-    if not all(0 <= i < dynkin.rank for i in m.marked):
-        raise ValueError(f"marked nodes out of range 0..{dynkin.rank - 1}")
     total = 0
-    for offset, f in zip(dynkin.factor_offsets(), dynkin.factors):
-        local = {i - offset for i in m.marked if offset <= i < offset + f.rank}
-        total += _factor_root_count(f.series, f.rank)
+    for f, _, local in _factor_markings(dynkin, m):
+        total += _run_data(f.series, f.rank, 0, f.rank - 1)[0]
         for lo, hi in _levi_runs(f.rank, local):
-            total -= _component_data(f.series, f.rank, lo, hi)[0]
+            total -= _run_data(f.series, f.rank, lo, hi)[0]
     return total
 
 
 def anticanonical_weight_of_type(dynkin: DynkinType, m: ParabolicMarking) -> Weight:
     """anticanonical_weight computed from the diagram alone."""
-    if not all(0 <= i < dynkin.rank for i in m.marked):
-        raise ValueError(f"marked nodes out of range 0..{dynkin.rank - 1}")
     coeffs = [0] * dynkin.rank
-    for offset, f in zip(dynkin.factor_offsets(), dynkin.factors):
-        local = {i - offset for i in m.marked if offset <= i < offset + f.rank}
-        runs = {}
+    for f, offset, local in _factor_markings(dynkin, m):
+        for i in local:
+            coeffs[offset + i] = 2
         for lo, hi in _levi_runs(f.rank, local):
-            runs[lo] = runs[hi] = (lo, hi)
-        for i in sorted(local):
-            c = 2
-            if i - 1 in runs:
-                lo, hi = runs[i - 1]
-                c -= _component_data(f.series, f.rank, lo, hi)[2] * _chain_entry(f.series, f.rank, i, i - 1)
-            if i + 1 in runs:
-                lo, hi = runs[i + 1]
-                c -= _component_data(f.series, f.rank, lo, hi)[1] * _chain_entry(f.series, f.rank, i, i + 1)
-            coeffs[offset + i] = c
+            _, first, last = _run_data(f.series, f.rank, lo, hi)
+            if lo > 0:
+                coeffs[offset + lo - 1] -= first * _chain_entry(f.series, f.rank, lo - 1, lo)
+            if hi < f.rank - 1:
+                coeffs[offset + hi + 1] -= last * _chain_entry(f.series, f.rank, hi + 1, hi)
     return Weight(tuple(coeffs))
 
 
 def fano_index_of_type(dynkin: DynkinType, m: ParabolicMarking) -> int:
-    if len(m.marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
-    (node,) = m.marked
-    return int(anticanonical_weight_of_type(dynkin, m).coeffs[node])
+    return _index(anticanonical_weight_of_type(dynkin, m), m)
 
 
-def flag_invariants(rs: RootSystem, m: ParabolicMarking) -> FlagInvariants:
-    anti = anticanonical_weight(rs, m)
-    index = None
-    if len(m.marked) == 1:
-        (node,) = m.marked
-        index = int(anti.coeffs[node])
+def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
+    anti = anticanonical_weight_of_type(dynkin, m)
     return FlagInvariants(
-        dimension=flag_dimension(rs, m),
+        dimension=flag_dimension_of_type(dynkin, m),
         picard_rank=len(m.marked),
         anticanonical=anti,
-        index=index,
+        index=_index(anti, m) if len(m.marked) == 1 else None,
     )

@@ -16,18 +16,11 @@ from functools import lru_cache
 
 from .flagvar import (
     ParabolicMarking,
-    anticanonical_weight,
     anticanonical_weight_of_type,
-    flag_dimension,
+    fano_index_of_type,
     flag_dimension_of_type,
 )
-from .rootsys import DynkinType, RootSystem, SimpleFactor, Weight, build_root_system, weyl_dim
-
-_B = lambda n: DynkinType((SimpleFactor("B", n),))
-_C = lambda n: DynkinType((SimpleFactor("C", n),))
-_F4 = DynkinType((SimpleFactor("F", 4),))
-_G2 = DynkinType((SimpleFactor("G", 2),))
-_A1G2 = DynkinType((SimpleFactor("A", 1), SimpleFactor("G", 2)))
+from .rootsys import DynkinType, Weight, build_root_system, weight_label, weyl_dim
 
 
 class Family(enum.Enum):
@@ -46,6 +39,19 @@ HOROSPHERICAL = {
     Family.CN,
     Family.F4_HORO,
     Family.G2_HORO,
+}
+
+# family -> (n, k) -> (Dynkin type, nodes of the Y marking, nodes of the Z marking)
+_FAMILY_TABLE = {
+    Family.BN_SPINOR: lambda n, k: (f"B{n}", (n - 2,), (n - 1,)),
+    Family.B3_SPECIAL: lambda n, k: ("B3", (0,), (2,)),
+    Family.CN: lambda n, k: (f"C{n}", (k - 1,), (k - 2,)),
+    Family.F4_HORO: lambda n, k: ("F4", (1,), (2,)),
+    Family.G2_HORO: lambda n, k: ("G2", (0,), (1,)),
+    Family.PAS_F4: lambda n, k: ("F4", (0,), (2,)),
+    # Y is the G2 contact manifold K(G2), on which the A1 factor acts
+    # trivially; Z is P^1 x Q^5, the A1 node together with the short G2 node
+    Family.PAS_A1G2: lambda n, k: ("A1xG2", (1,), (0, 2)),
 }
 
 
@@ -67,41 +73,15 @@ class TripleSpec:
 
     @property
     def dynkin(self) -> DynkinType:
-        return {
-            Family.BN_SPINOR: lambda: _B(self.n),
-            Family.B3_SPECIAL: lambda: _B(3),
-            Family.CN: lambda: _C(self.n),
-            Family.F4_HORO: lambda: _F4,
-            Family.G2_HORO: lambda: _G2,
-            Family.PAS_F4: lambda: _F4,
-            Family.PAS_A1G2: lambda: _A1G2,
-        }[self.family]()
+        return DynkinType.parse(_FAMILY_TABLE[self.family](self.n, self.k)[0])
 
     @property
     def marking_y(self) -> ParabolicMarking:
-        return {
-            Family.BN_SPINOR: lambda: ParabolicMarking.of(self.n - 2),
-            Family.B3_SPECIAL: lambda: ParabolicMarking.of(0),
-            Family.CN: lambda: ParabolicMarking.of(self.k - 1),
-            Family.F4_HORO: lambda: ParabolicMarking.of(1),
-            Family.G2_HORO: lambda: ParabolicMarking.of(0),
-            Family.PAS_F4: lambda: ParabolicMarking.of(0),
-            # the G2 contact manifold K(G2); the A1 factor acts trivially
-            Family.PAS_A1G2: lambda: ParabolicMarking.of(1),
-        }[self.family]()
+        return ParabolicMarking.of(*_FAMILY_TABLE[self.family](self.n, self.k)[1])
 
     @property
     def marking_z(self) -> ParabolicMarking:
-        return {
-            Family.BN_SPINOR: lambda: ParabolicMarking.of(self.n - 1),
-            Family.B3_SPECIAL: lambda: ParabolicMarking.of(2),
-            Family.CN: lambda: ParabolicMarking.of(self.k - 2),
-            Family.F4_HORO: lambda: ParabolicMarking.of(2),
-            Family.G2_HORO: lambda: ParabolicMarking.of(1),
-            Family.PAS_F4: lambda: ParabolicMarking.of(2),
-            # P^1 x Q^5: the A1 node together with the short G2 node
-            Family.PAS_A1G2: lambda: ParabolicMarking.of(0, 2),
-        }[self.family]()
+        return ParabolicMarking.of(*_FAMILY_TABLE[self.family](self.n, self.k)[2])
 
     @property
     def triple_id(self) -> str:
@@ -124,6 +104,8 @@ def parse_triple_id(text: str) -> TripleSpec:
         key, _, val = p.partition("=")
         if key not in ("n", "k") or not val.lstrip("-").isdigit():
             raise ValueError(f"bad triple parameter {p!r} in {text!r}")
+        if key in kwargs:
+            raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
         kwargs[key] = int(val)
     for fam in Family:
         if fam.value.lower() == head.lower():
@@ -147,11 +129,6 @@ def enumerate_triples(max_n: int) -> list[TripleSpec]:
         TripleSpec(Family.PAS_A1G2),
     ]
     return triples
-
-
-@lru_cache(maxsize=None)
-def _root_system(dynkin: DynkinType) -> RootSystem:
-    return build_root_system(dynkin)
 
 
 @dataclass(frozen=True)
@@ -197,28 +174,14 @@ class StabilityReport:
     verdict: Verdict
 
 
-# ranks small enough to enumerate positive roots outright; above this the
-# Levi-decomposition routines in flagvar are used (same results, no O(n^2) roots)
-_ENUMERATION_CUTOFF = 16
-
-
 @lru_cache(maxsize=None)
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
-    dynkin = t.dynkin
-    if dynkin.rank <= _ENUMERATION_CUTOFF:
-        rs = _root_system(dynkin)
-        dim_of = lambda m: flag_dimension(rs, m)
-        anti_of = lambda m: anticanonical_weight(rs, m)
-    else:
-        dim_of = lambda m: flag_dimension_of_type(dynkin, m)
-        anti_of = lambda m: anticanonical_weight_of_type(dynkin, m)
-    m_y, m_z = t.marking_y, t.marking_z
-    dim_y = dim_of(m_y)
-    dim_z = dim_of(m_z)
-    dim_x = dim_of(m_y.union(m_z)) + 1
-    (node_y,) = m_y.marked
-    c1_y = int(anti_of(m_y).coeffs[node_y])
-    c1_z = anti_of(m_z)
+    dynkin, m_y, m_z = t.dynkin, t.marking_y, t.marking_z
+    dim_y = flag_dimension_of_type(dynkin, m_y)
+    dim_z = flag_dimension_of_type(dynkin, m_z)
+    dim_x = flag_dimension_of_type(dynkin, m_y.union(m_z)) + 1
+    c1_y = fano_index_of_type(dynkin, m_y)
+    c1_z = anticanonical_weight_of_type(dynkin, m_z)
     if t.family is Family.PAS_F4:
         r_x = 8
     elif t.family is Family.PAS_A1G2:
@@ -262,7 +225,7 @@ def ambient_dimension(t: TripleSpec) -> int:
     if t.family is Family.PAS_A1G2:
         # two copies of the 7-dimensional space of imaginary octonions
         return 14
-    rs = _root_system(t.dynkin)
+    rs = build_root_system(t.dynkin)
     dims = []
     for marking in (t.marking_y, t.marking_z):
         coeffs = tuple(1 if i in marking.marked else 0 for i in range(rs.rank))
@@ -272,39 +235,24 @@ def ambient_dimension(t: TripleSpec) -> int:
 
 # --- report serialization ---------------------------------------------------
 
-def weight_label(t: TripleSpec, weight: Weight) -> str:
-    """Render a weight like "3w1+5w3", with "f.i" node labels for products."""
-    dynkin = t.dynkin
-    labels = []
-    if len(dynkin.factors) == 1:
-        labels = [f"w{i + 1}" for i in range(dynkin.rank)]
-    else:
-        for pos, f in enumerate(dynkin.factors, start=1):
-            labels.extend(f"w{pos}.{i + 1}" for i in range(f.rank))
-    terms = [f"{int(c)}{lab}" for c, lab in zip(weight.coeffs, labels) if c]
-    return "+".join(terms) if terms else "0"
+RECORD_FIELDS = (
+    "triple", "family", "n", "k",
+    "dim_Y", "c1_Y", "dim_Z", "c1_Z", "dim_X", "r_X", "codim_Z",
+    "rank_EY", "c1_EY", "rank_F", "c1_F",
+    "mu_F", "mu_Theta", "verdict",
+)
 
 
 def report_record(r: StabilityReport) -> dict:
-    """Flatten a StabilityReport into one record with a stable field order."""
-    c1_z = r.variety.c1_z_scalar()
-    return {
-        "triple": r.triple.triple_id,
-        "family": r.triple.family.value,
-        "n": r.triple.n,
-        "k": r.triple.k,
-        "dim_Y": r.variety.dim_y,
-        "c1_Y": r.variety.c1_y,
-        "dim_Z": r.variety.dim_z,
-        "c1_Z": c1_z if c1_z is not None else weight_label(r.triple, r.variety.c1_z),
-        "dim_X": r.variety.dim_x,
-        "r_X": r.variety.r_x,
-        "codim_Z": r.variety.codim_z,
-        "rank_EY": r.foliation.rank_ey,
-        "c1_EY": r.foliation.c1_ey,
-        "rank_F": r.foliation.rank_f,
-        "c1_F": r.foliation.c1_f,
-        "mu_F": f"{r.mu_f.numerator}/{r.mu_f.denominator}",
-        "mu_Theta": f"{r.mu_theta.numerator}/{r.mu_theta.denominator}",
-        "verdict": r.verdict.value,
-    }
+    """Flatten a StabilityReport into one record keyed by RECORD_FIELDS, in that order."""
+    t, v, f = r.triple, r.variety, r.foliation
+    c1_z = v.c1_z_scalar()
+    return dict(zip(RECORD_FIELDS, (
+        t.triple_id, t.family.value, t.n, t.k,
+        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(t.dynkin, v.c1_z),
+        v.dim_x, v.r_x, v.codim_z,
+        f.rank_ey, f.c1_ey, f.rank_f, f.c1_f,
+        f"{r.mu_f.numerator}/{r.mu_f.denominator}",
+        f"{r.mu_theta.numerator}/{r.mu_theta.denominator}",
+        r.verdict.value,
+    ), strict=True))

@@ -116,6 +116,19 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
+def node_labels(dynkin: DynkinType) -> list[str]:
+    """Command-line node labels, 1-based: "i" for one factor, "f.i" for products."""
+    if len(dynkin.factors) == 1:
+        return [str(i + 1) for i in range(dynkin.rank)]
+    return [f"{pos}.{i + 1}" for pos, f in enumerate(dynkin.factors, start=1) for i in range(f.rank)]
+
+
+def weight_label(dynkin: DynkinType, weight: Weight) -> str:
+    """Render a weight like "3w1+5w3", or "2w1.1+5w2.2" for products."""
+    terms = [f"{int(c)}w{label}" for c, label in zip(weight.coeffs, node_labels(dynkin)) if c]
+    return "+".join(terms) if terms else "0"
+
+
 def factor_cartan(f: SimpleFactor) -> list[list[int]]:
     """Cartan matrix of one factor, a[i][j] = <alpha_j, alpha_i^vee>."""
     n = f.rank

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twoorbit
 from twoorbit import cli, fixtures
 from twoorbit.cli import RECORD_FIELDS, main
 from twoorbit.pasquier import enumerate_triples, report_record, stability_verdict
@@ -71,6 +76,12 @@ class TestFlag:
         code, _, err = run_cli(capsys, "flag", "A1xG2", "--mark", "2")
         assert code == 2
         assert "factor-qualified" in err
+
+    @pytest.mark.parametrize("spec,mark", [("B3", "1,1"), ("A1xG2", "1.1,1.1")])
+    def test_repeated_node(self, capsys, spec, mark):
+        code, _, err = run_cli(capsys, "flag", spec, "--mark", mark)
+        assert code == 2
+        assert "marked twice" in err
 
     def test_node_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "flag", "B3", "--mark", "4")
@@ -192,3 +203,20 @@ def test_run_propagates_exit_status(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 0
+
+
+def test_closed_stdout_exits_141_quietly():
+    # what `twoorbit table --max-n 60 | head -1` does: the reader leaves after one line
+    src = str(Path(twoorbit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twoorbit.cli", "table", "--max-n", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"| triple")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoorbit.flagvar import (
     FlagInvariants,
     ParabolicMarking,
+    _run_data,
     anticanonical_weight,
     anticanonical_weight_of_type,
     fano_index,
@@ -14,7 +17,15 @@ from twoorbit.flagvar import (
     flag_invariants,
     nilradical_roots,
 )
-from twoorbit.rootsys import DynkinType, Weight, build_root_system
+from twoorbit.rootsys import (
+    _MIN_RANK,
+    DynkinType,
+    SimpleFactor,
+    Weight,
+    build_root_system,
+    closure_from_cartan,
+    factor_cartan,
+)
 
 
 def rs_of(spec):
@@ -96,11 +107,8 @@ def test_b_series_closed_forms(n):
     assert fano_index(rs, og) == n + 1
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 5) for n in range(2, 13) if k <= n])
 def test_c_series_closed_forms(n, k):
-    if k > n:
-        pytest.skip("marking out of range")
     rs = rs_of(f"C{n}")
     m = ParabolicMarking.of(k - 1)
     assert flag_dimension(rs, m) == k * (2 * n - k) - k * (k - 1) // 2
@@ -148,11 +156,11 @@ def test_product_marking_is_additive():
 
 def test_flag_invariants_bundle():
     rs = rs_of("F4")
-    inv = flag_invariants(rs, ParabolicMarking.of(1))
+    inv = flag_invariants(rs.dynkin, ParabolicMarking.of(1))
     assert inv == FlagInvariants(
         dimension=20, picard_rank=1, anticanonical=Weight((0, 5, 0, 0)), index=5
     )
-    two = flag_invariants(rs, ParabolicMarking.of(0, 2))
+    two = flag_invariants(rs.dynkin, ParabolicMarking.of(0, 2))
     assert two.picard_rank == 2
     assert two.index is None
 
@@ -209,3 +217,44 @@ def test_fast_path_agrees_with_enumeration(spec):
         m = ParabolicMarking(sub)
         assert flag_dimension_of_type(dynkin, m) == flag_dimension(rs, m)
         assert anticanonical_weight_of_type(dynkin, m) == anticanonical_weight(rs, m)
+
+
+RUN_FACTORS = (
+    [SimpleFactor("A", r) for r in range(1, 13)]
+    + [SimpleFactor(s, r) for s in "BC" for r in range(2, 13)]
+    + [SimpleFactor("F", 4), SimpleFactor("G", 2)]
+)
+
+
+@pytest.mark.parametrize("factor", RUN_FACTORS, ids=str)
+def test_run_closed_forms_match_closure(factor):
+    cartan = factor_cartan(factor)
+    for lo in range(factor.rank):
+        for hi in range(lo, factor.rank):
+            roots = closure_from_cartan([row[lo : hi + 1] for row in cartan[lo : hi + 1]])
+            rho2 = [sum(r[j] for r in roots) for j in range(hi - lo + 1)]
+            assert _run_data(factor.series, factor.rank, lo, hi) == (len(roots), rho2[0], rho2[-1])
+
+
+@st.composite
+def marked_products(draw, max_rank=12):
+    """A product of A/B/C/F4/G2 factors of total rank <= max_rank, with a marking."""
+    factors, left = [], max_rank
+    while not factors or (left and draw(st.booleans())):
+        series = draw(st.sampled_from([s for s, r in _MIN_RANK.items() if r <= left]))
+        rank = _MIN_RANK[series] if series in "FG" else draw(st.integers(_MIN_RANK[series], left))
+        factors.append(SimpleFactor(series, rank))
+        left -= rank
+    dynkin = DynkinType(tuple(factors))
+    marked = draw(st.frozensets(st.integers(0, dynkin.rank - 1), min_size=1))
+    return dynkin, ParabolicMarking(marked)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(marked_products())
+@example((DynkinType.parse("A2xF4"), ParabolicMarking.of(1)))
+def test_diagram_path_matches_enumeration_on_products(case):
+    dynkin, m = case
+    rs = build_root_system(dynkin)
+    assert flag_dimension_of_type(dynkin, m) == flag_dimension(rs, m)
+    assert anticanonical_weight_of_type(dynkin, m) == anticanonical_weight(rs, m)

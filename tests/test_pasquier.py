@@ -72,7 +72,7 @@ class TestTripleIds:
         assert parse_triple_id("pasf4") == TripleSpec(Family.PAS_F4)
 
     @pytest.mark.parametrize(
-        "text", ["Dn:n=4", "Bn", "Bn:n=2", "Cn:n=4", "Cn:n=4:k=5", "Cn:n=4:m=2", "PasF4:n=3"]
+        "text", ["Dn:n=4", "Bn", "Bn:n=2", "Cn:n=4", "Cn:n=4:k=5", "Cn:n=4:m=2", "PasF4:n=3", "Bn:n=5:n=6"]
     )
     def test_bad_ids_rejected(self, text):
         with pytest.raises(ValueError):
