@@ -23,6 +23,7 @@ from .pasquier import (
 )
 from .rootsys import (
     DynkinType,
+    RootSystem,
     UnsupportedTypeError,
     Weight,
     build_root_system,
@@ -32,6 +33,9 @@ from .rootsys import (
 )
 
 FORMATS = ("md", "csv", "json")
+# roots and dim enumerate every positive root, at a cost that grows like
+# rank^4; flag uses the diagram path and has no cap
+MAX_ENUMERATION_RANK = 100
 
 
 class UsageError(ValueError):
@@ -45,6 +49,13 @@ def _parse_type(spec: str) -> DynkinType:
         raise UsageError(str(exc)) from exc
 
 
+def _enumerated_root_system(spec: str) -> RootSystem:
+    dynkin = _parse_type(spec)
+    if dynkin.rank > MAX_ENUMERATION_RANK:
+        raise UsageError(f"{dynkin} has rank {dynkin.rank}, above the limit of {MAX_ENUMERATION_RANK}")
+    return build_root_system(dynkin)
+
+
 def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
     """Node list grammar: 1-based within a factor, "f.i" for products."""
     offsets = dynkin.factor_offsets()
@@ -55,7 +66,7 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
             factor_pos, node_text = 1, token
         else:
             factor_text, dot, node_text = token.partition(".")
-            if not dot or not factor_text.isdigit():
+            if not dot or not factor_text.isdecimal():
                 raise UsageError(
                     f"node {token!r}: product types need factor-qualified nodes like 1.1"
                 )
@@ -63,7 +74,7 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
         if not 1 <= factor_pos <= len(dynkin.factors):
             raise UsageError(f"node {token!r}: factor out of range 1..{len(dynkin.factors)}")
         factor = dynkin.factors[factor_pos - 1]
-        if not node_text.isdigit() or not 1 <= int(node_text) <= factor.rank:
+        if not node_text.isdecimal() or not 1 <= int(node_text) <= factor.rank:
             raise UsageError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
         index = offsets[factor_pos - 1] + int(node_text) - 1
         if index in indices:
@@ -75,9 +86,8 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
 
 
 def cmd_roots(args) -> int:
-    dynkin = _parse_type(args.type)
-    rs = build_root_system(dynkin)
-    print(f"type: {dynkin}")
+    rs = _enumerated_root_system(args.type)
+    print(f"type: {rs.dynkin}")
     print("Cartan matrix:")
     for row in rs.cartan:
         print("  [" + " ".join(f"{v:3d}" for v in row) + "]")
@@ -104,8 +114,7 @@ def cmd_flag(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    dynkin = _parse_type(args.type)
-    rs = build_root_system(dynkin)
+    rs = _enumerated_root_system(args.type)
     try:
         coeffs = tuple(int(c) for c in args.weight.split(","))
     except ValueError as exc:

@@ -14,9 +14,7 @@ from .pasquier import (
     Family,
     TripleSpec,
     enumerate_triples,
-    foliation_invariants,
     stability_verdict,
-    variety_invariants,
 )
 
 # dim_Y, c1_Y, dim_Z, c1_Z, dim_X, c1_X as functions of (n, k)
@@ -119,9 +117,8 @@ def _check_triple(t: TripleSpec) -> list[Mismatch]:
         if expected != actual:
             found.append(Mismatch(fixture, t.triple_id, column, expected, actual))
 
-    v = variety_invariants(t)
-    f = foliation_invariants(t)
     r = stability_verdict(t)
+    v, f = r.variety, r.foliation
 
     if t.is_horospherical():
         table = BL_H_NUM[t.family]

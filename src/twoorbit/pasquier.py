@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .flagvar import (
     ParabolicMarking,
@@ -32,14 +31,6 @@ class Family(enum.Enum):
     PAS_F4 = "PasF4"
     PAS_A1G2 = "PasA1G2"
 
-
-HOROSPHERICAL = {
-    Family.BN_SPINOR,
-    Family.B3_SPECIAL,
-    Family.CN,
-    Family.F4_HORO,
-    Family.G2_HORO,
-}
 
 # family -> (n, k) -> (Dynkin type, nodes of the Y marking, nodes of the Z marking)
 _FAMILY_TABLE = {
@@ -63,8 +54,8 @@ class TripleSpec:
 
     def __post_init__(self):
         if self.family is Family.BN_SPINOR:
-            if self.n is None or self.n < 3:
-                raise ValueError("spinor family needs n >= 3")
+            if self.n is None or self.n < 3 or self.k is not None:
+                raise ValueError("spinor family needs n >= 3 and takes no k")
         elif self.family is Family.CN:
             if self.n is None or self.k is None or self.n < 2 or not 2 <= self.k <= self.n:
                 raise ValueError("C_n family needs n >= 2 and 2 <= k <= n")
@@ -92,7 +83,7 @@ class TripleSpec:
         return self.family.value
 
     def is_horospherical(self) -> bool:
-        return self.family in HOROSPHERICAL
+        return self.family not in _PINNED
 
 
 def parse_triple_id(text: str) -> TripleSpec:
@@ -102,7 +93,7 @@ def parse_triple_id(text: str) -> TripleSpec:
     kwargs: dict[str, int] = {}
     for p in params:
         key, _, val = p.partition("=")
-        if key not in ("n", "k") or not val.lstrip("-").isdigit():
+        if key not in ("n", "k") or not val.removeprefix("-").isdecimal():
             raise ValueError(f"bad triple parameter {p!r} in {text!r}")
         if key in kwargs:
             raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
@@ -174,7 +165,16 @@ class StabilityReport:
     verdict: Verdict
 
 
-@lru_cache(maxsize=None)
+# The two non-horospherical varieties, family -> (r_X, foliation).  The
+# blow-up canonical formula for r_X and the E_Y bundle apply only to the
+# horospherical drums, so these values are pinned.  test_criterion_4 guards
+# them: rank F = dim X - dim Y, that is 23 - 15 for PasF4 and 8 - 5 for PasA1G2.
+_PINNED = {
+    Family.PAS_F4: (8, FoliationInvariants(rank_f=8, c1_f=0, rank_ey=None, c1_ey=None)),
+    Family.PAS_A1G2: (6, FoliationInvariants(rank_f=3, c1_f=0, rank_ey=None, c1_ey=None)),
+}
+
+
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, m_y, m_z = t.dynkin, t.marking_y, t.marking_z
     dim_y = flag_dimension_of_type(dynkin, m_y)
@@ -182,22 +182,15 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dim_x = flag_dimension_of_type(dynkin, m_y.union(m_z)) + 1
     c1_y = fano_index_of_type(dynkin, m_y)
     c1_z = anticanonical_weight_of_type(dynkin, m_z)
-    if t.family is Family.PAS_F4:
-        r_x = 8
-    elif t.family is Family.PAS_A1G2:
-        r_x = 6
-    else:
-        # blow-up canonical formula applied to the drum contraction
-        r_x = 2 * dim_x - dim_y - dim_z
+    # blow-up canonical formula applied to the drum contraction, unless pinned
+    r_x = _PINNED[t.family][0] if t.family in _PINNED else 2 * dim_x - dim_y - dim_z
     return VarietyInvariants(dim_y=dim_y, dim_z=dim_z, dim_x=dim_x, c1_y=c1_y, c1_z=c1_z, r_x=r_x)
 
 
-def foliation_invariants(t: TripleSpec) -> FoliationInvariants:
-    if t.family is Family.PAS_F4:
-        return FoliationInvariants(rank_f=8, c1_f=0, rank_ey=None, c1_ey=None)
-    if t.family is Family.PAS_A1G2:
-        return FoliationInvariants(rank_f=3, c1_f=0, rank_ey=None, c1_ey=None)
-    v = variety_invariants(t)
+def foliation_invariants(t: TripleSpec, v: VarietyInvariants) -> FoliationInvariants:
+    """The canonical foliation of `t`, given its variety invariants `v`."""
+    if t.family in _PINNED:
+        return _PINNED[t.family][1]
     rank_ey = v.dim_x - v.dim_y
     c1_ey = v.c1_y - (v.dim_x - v.dim_z)
     return FoliationInvariants(rank_f=rank_ey, c1_f=rank_ey - c1_ey, rank_ey=rank_ey, c1_ey=c1_ey)
@@ -206,7 +199,7 @@ def foliation_invariants(t: TripleSpec) -> FoliationInvariants:
 def stability_verdict(t: TripleSpec) -> StabilityReport:
     """Exact slope comparison of the canonical foliation with the tangent bundle."""
     v = variety_invariants(t)
-    f = foliation_invariants(t)
+    f = foliation_invariants(t, v)
     mu_f = Fraction(f.c1_f, f.rank_f)
     mu_theta = Fraction(v.r_x, v.dim_x)
     if mu_f > mu_theta:

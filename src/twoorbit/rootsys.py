@@ -74,7 +74,7 @@ class DynkinType:
         factors = []
         for token in spec.split("x"):
             token = token.strip()
-            if len(token) < 2 or not token[0].isalpha() or not token[1:].isdigit():
+            if len(token) < 2 or not token[0].isalpha() or not token[1:].isdecimal():
                 raise ValueError(f"cannot parse factor {token!r} in type spec {spec!r}")
             factors.append(SimpleFactor(token[0].upper(), int(token[1:])))
         return cls(tuple(factors))

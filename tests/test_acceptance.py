@@ -23,7 +23,6 @@ from twoorbit.pasquier import (
     TripleSpec,
     Verdict,
     enumerate_triples,
-    foliation_invariants,
     report_record,
     stability_verdict,
     variety_invariants,
@@ -59,7 +58,7 @@ def test_criterion_1_horospherical_table_reproduction():
 def test_criterion_2_foliation_tables():
     checked = 0
     for t in enumerate_triples(12):
-        f = foliation_invariants(t)
+        f = stability_verdict(t).foliation
         assert (f.rank_f, f.c1_f) == CF[t.family](t.n, t.k), t.triple_id
         if t.is_horospherical():
             assert (f.rank_ey, f.c1_ey) == CF_NUM[t.family](t.n, t.k), t.triple_id
@@ -91,7 +90,7 @@ def test_criterion_3_stability_theorem_full_catalog():
 
 def test_criterion_4_exceptional_case_pins():
     f4 = TripleSpec(Family.PAS_F4)
-    v4, fo4 = variety_invariants(f4), foliation_invariants(f4)
+    v4, fo4 = variety_invariants(f4), stability_verdict(f4).foliation
     assert (v4.dim_x, v4.r_x, fo4.rank_f, fo4.c1_f) == (23, 8, 8, 0)
     assert v4.dim_x - v4.dim_y == 8
     rs = build_root_system(f4.dynkin)
@@ -99,7 +98,7 @@ def test_criterion_4_exceptional_case_pins():
     assert anticanonical_weight(rs, pair) == Weight((3, 0, 5, 0))
 
     ag = TripleSpec(Family.PAS_A1G2)
-    vg, fog = variety_invariants(ag), foliation_invariants(ag)
+    vg, fog = variety_invariants(ag), stability_verdict(ag).foliation
     assert (vg.dim_x, vg.r_x, fog.rank_f, fog.c1_f) == (8, 6, 3, 0)
     assert vg.dim_x - vg.dim_y == 3
     rs = build_root_system(ag.dynkin)

@@ -43,6 +43,38 @@ class TestRoots:
         assert code == 2
         assert "Q9" in err
 
+    def test_non_decimal_rank(self, capsys):
+        code, _, err = run_cli(capsys, "roots", "B\u00b2")
+        assert code == 2
+        assert "cannot parse factor" in err
+
+
+class TestRankCap:
+    """roots and dim enumerate every root, so they refuse a rank above the cap before building."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(dynkin):
+            raise AssertionError(f"built a root system for {dynkin}")
+
+        monkeypatch.setattr(cli, "build_root_system", refuse)
+
+    @pytest.mark.parametrize("argv", [("roots", "A101"), ("dim", "A101", ",".join(["1"] * 101))])
+    def test_above_cap_exits_two_at_once(self, capsys, no_build, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "A101 has rank 101, above the limit of 100" in err
+
+    def test_cap_is_inclusive(self, capsys, no_build):
+        with pytest.raises(AssertionError, match="built a root system for A100"):
+            run_cli(capsys, "roots", "A100")
+
+    def test_flag_is_not_capped(self, capsys):
+        code, out, _ = run_cli(capsys, "flag", "B101", "--mark", "1")
+        assert code == 0
+        assert "dimension: 201" in out  # the quadric Q^201
+
 
 class TestFlag:
     def test_f4_adjoint(self, capsys):
@@ -82,6 +114,12 @@ class TestFlag:
         code, _, err = run_cli(capsys, "flag", spec, "--mark", mark)
         assert code == 2
         assert "marked twice" in err
+
+    @pytest.mark.parametrize("spec,mark", [("B3", "\u00b2"), ("A1xG2", "\u00b2.1"), ("A1xG2", "1.\u00b2")])
+    def test_non_decimal_node(self, capsys, spec, mark):
+        code, _, err = run_cli(capsys, "flag", spec, "--mark", mark)
+        assert code == 2
+        assert err.startswith("error: node") and "Traceback" not in err
 
     def test_node_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "flag", "B3", "--mark", "4")
@@ -163,6 +201,13 @@ class TestCheck:
         assert code == 0
         assert "c1_Z: 2w1.1+5w2.2" in out
         assert "rank_EY: \n" in out
+
+    @pytest.mark.parametrize("triple_id", ["Bn:n=--5", "Bn:n=\u00b2"])
+    def test_bad_parameter(self, capsys, triple_id):
+        code, out, err = run_cli(capsys, "check", triple_id)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "invalid literal" not in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "check", "En:n=6")

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from twoorbit import fixtures, pasquier
 from twoorbit.flagvar import flag_dimension
 from twoorbit.pasquier import (
     Family,
@@ -10,7 +12,6 @@ from twoorbit.pasquier import (
     Verdict,
     ambient_dimension,
     enumerate_triples,
-    foliation_invariants,
     parse_triple_id,
     report_record,
     stability_verdict,
@@ -72,7 +73,8 @@ class TestTripleIds:
         assert parse_triple_id("pasf4") == TripleSpec(Family.PAS_F4)
 
     @pytest.mark.parametrize(
-        "text", ["Dn:n=4", "Bn", "Bn:n=2", "Cn:n=4", "Cn:n=4:k=5", "Cn:n=4:m=2", "PasF4:n=3", "Bn:n=5:n=6"]
+        "text",
+        ["Dn:n=4", "Bn", "Bn:n=2", "Cn:n=4", "Cn:n=4:k=5", "Cn:n=4:m=2", "PasF4:n=3", "Bn:n=5:n=6", "Bn:n=5:k=2"],
     )
     def test_bad_ids_rejected(self, text):
         with pytest.raises(ValueError):
@@ -120,7 +122,7 @@ class TestVarietyInvariants:
         rs = build_root_system(t.dynkin)
         assert v.dim_x == flag_dimension(rs, t.marking_y.union(t.marking_z)) + 1
         if t.is_horospherical():
-            f = foliation_invariants(t)
+            f = stability_verdict(t).foliation
             assert v.dim_x == v.dim_y + f.rank_ey
 
 
@@ -141,22 +143,22 @@ def test_fano_degree_symbolic():
 class TestFoliation:
     def test_spinor_rows(self):
         for n in (3, 4, 7):
-            f = foliation_invariants(TripleSpec(Family.BN_SPINOR, n=n))
+            f = stability_verdict(TripleSpec(Family.BN_SPINOR, n=n)).foliation
             assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (2, 1, 2, 1)
 
     def test_b3_special_row(self):
-        f = foliation_invariants(TripleSpec(Family.B3_SPECIAL))
+        f = stability_verdict(TripleSpec(Family.B3_SPECIAL)).foliation
         assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (4, 2, 4, 2)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (4, 3), (5, 5)])
     def test_symplectic_rows(self, n, k):
-        f = foliation_invariants(TripleSpec(Family.CN, n=n, k=k))
+        f = stability_verdict(TripleSpec(Family.CN, n=n, k=k)).foliation
         assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (k, k - 1, k, 1)
 
     def test_exceptional_rows_have_no_bundle_part(self):
-        f4 = foliation_invariants(TripleSpec(Family.PAS_F4))
+        f4 = stability_verdict(TripleSpec(Family.PAS_F4)).foliation
         assert (f4.rank_f, f4.c1_f, f4.rank_ey, f4.c1_ey) == (8, 0, None, None)
-        a1g2 = foliation_invariants(TripleSpec(Family.PAS_A1G2))
+        a1g2 = stability_verdict(TripleSpec(Family.PAS_A1G2)).foliation
         assert (a1g2.rank_f, a1g2.c1_f, a1g2.rank_ey, a1g2.c1_ey) == (3, 0, None, None)
 
 
@@ -193,6 +195,30 @@ class TestStability:
     def test_no_boundary_cases(self):
         for t in enumerate_triples(20):
             assert stability_verdict(t).verdict is not Verdict.STRICTLY_SEMISTABLE_BOUNDARY
+
+
+class TestOneEvaluationPerTriple:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        uncounted = pasquier.variety_invariants
+
+        def counting(t):
+            counts[t] += 1
+            return uncounted(t)
+
+        monkeypatch.setattr(pasquier, "variety_invariants", counting)
+        return counts
+
+    def test_stability_verdict(self, calls):
+        triples = enumerate_triples(12)
+        for t in triples:
+            stability_verdict(t)
+        assert calls == Counter(triples)
+
+    def test_verify(self, calls):
+        assert fixtures.verify(12) == []
+        assert calls == Counter(enumerate_triples(12))
 
 
 class TestAmbientDimension:
