@@ -28,7 +28,6 @@ from .pasquier import (
     TripleSpec,
     VarietyInvariants,
     Verdict,
-    ambient_dimension,
     enumerate_triples,
     foliation_invariants,
     parse_triple_id,
@@ -43,7 +42,7 @@ __all__ = [
     "FlagInvariants", "ParabolicMarking", "anticanonical_weight", "fano_index",
     "flag_dimension", "flag_invariants",
     "Family", "FoliationInvariants", "StabilityReport", "TripleSpec",
-    "VarietyInvariants", "Verdict", "ambient_dimension", "enumerate_triples",
+    "VarietyInvariants", "Verdict", "enumerate_triples",
     "foliation_invariants", "parse_triple_id", "report_record", "stability_verdict",
     "variety_invariants",
 ]

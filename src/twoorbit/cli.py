@@ -23,7 +23,6 @@ from .pasquier import (
 )
 from .rootsys import (
     DynkinType,
-    RootSystem,
     UnsupportedTypeError,
     Weight,
     build_root_system,
@@ -49,11 +48,21 @@ def _parse_type(spec: str) -> DynkinType:
         raise UsageError(str(exc)) from exc
 
 
-def _enumerated_root_system(spec: str) -> RootSystem:
+def _enumerable_type(spec: str) -> DynkinType:
     dynkin = _parse_type(spec)
     if dynkin.rank > MAX_ENUMERATION_RANK:
         raise UsageError(f"{dynkin} has rank {dynkin.rank}, above the limit of {MAX_ENUMERATION_RANK}")
-    return build_root_system(dynkin)
+    return dynkin
+
+
+def _parse_weight(dynkin: DynkinType, text: str) -> Weight:
+    """Comma-separated decimal coefficients, one per node; a sign is left for weyl_dim to judge."""
+    tokens = [token.strip() for token in text.split(",")]
+    if not all(token.removeprefix("-").isdecimal() for token in tokens):
+        raise UsageError(f"cannot parse weight {text!r}: coefficients must be decimal integers")
+    if len(tokens) != dynkin.rank:
+        raise UsageError(f"weight needs {dynkin.rank} coefficients, got {len(tokens)}")
+    return Weight(tuple(int(token) for token in tokens))
 
 
 def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
@@ -86,7 +95,7 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
 
 
 def cmd_roots(args) -> int:
-    rs = _enumerated_root_system(args.type)
+    rs = build_root_system(_enumerable_type(args.type))
     print(f"type: {rs.dynkin}")
     print("Cartan matrix:")
     for row in rs.cartan:
@@ -114,15 +123,11 @@ def cmd_flag(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    rs = _enumerated_root_system(args.type)
+    dynkin = _enumerable_type(args.type)
+    weight = _parse_weight(dynkin, args.weight)
+    rs = build_root_system(dynkin)
     try:
-        coeffs = tuple(int(c) for c in args.weight.split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse weight {args.weight!r}: {exc}") from exc
-    if len(coeffs) != rs.rank:
-        raise UsageError(f"weight needs {rs.rank} coefficients, got {len(coeffs)}")
-    try:
-        print(weyl_dim(rs, Weight(coeffs)))
+        print(weyl_dim(rs, weight))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return 0

@@ -15,6 +15,7 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    chain_entry,
     root_to_weight,
 )
 
@@ -103,19 +104,6 @@ _EXCEPTIONAL_RUNS = {
 }
 
 
-def _chain_entry(series: str, rank: int, i: int, j: int) -> int:
-    """Cartan entry a[i][j] of adjacent nodes within one factor, without building the matrix."""
-    if series == "B" and (i, j) == (rank - 1, rank - 2):
-        return -2
-    if series == "C" and (i, j) == (rank - 2, rank - 1):
-        return -2
-    if series == "F" and (i, j) == (2, 1):
-        return -2
-    if series == "G" and (i, j) == (1, 0):
-        return -3
-    return -1
-
-
 def _run_data(series: str, rank: int, lo: int, hi: int) -> tuple[int, int, int]:
     """(root count, first and last coefficient of 2*rho) of the Levi run lo..hi of one factor."""
     if (series, lo, hi) in _EXCEPTIONAL_RUNS:
@@ -167,9 +155,9 @@ def anticanonical_weight_of_type(dynkin: DynkinType, m: ParabolicMarking) -> Wei
         for lo, hi in _levi_runs(f.rank, local):
             _, first, last = _run_data(f.series, f.rank, lo, hi)
             if lo > 0:
-                coeffs[offset + lo - 1] -= first * _chain_entry(f.series, f.rank, lo - 1, lo)
+                coeffs[offset + lo - 1] -= first * chain_entry(f, lo - 1, lo)
             if hi < f.rank - 1:
-                coeffs[offset + hi + 1] -= last * _chain_entry(f.series, f.rank, hi + 1, hi)
+                coeffs[offset + hi + 1] -= last * chain_entry(f, hi + 1, hi)
     return Weight(tuple(coeffs))
 
 

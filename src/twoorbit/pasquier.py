@@ -1,7 +1,7 @@
 """The Pasquier catalog of two-orbit Fano varieties and their stability.
 
 Each catalog entry is a triple: a Dynkin type plus two dominant weights,
-realized here as parabolic markings.  From the root system alone we derive
+realized here as parabolic markings.  From the Dynkin diagram alone we derive
 the variety's dimension and Fano index, the rank and first Chern class of
 its canonical foliation, and the exact slope comparison that decides
 (in)stability of the tangent bundle.
@@ -19,7 +19,7 @@ from .flagvar import (
     fano_index_of_type,
     flag_dimension_of_type,
 )
-from .rootsys import DynkinType, Weight, build_root_system, weight_label, weyl_dim
+from .rootsys import DynkinType, Weight, weight_label
 
 
 class Family(enum.Enum):
@@ -76,11 +76,10 @@ class TripleSpec:
 
     @property
     def triple_id(self) -> str:
-        if self.family is Family.BN_SPINOR:
-            return f"Bn:n={self.n}"
-        if self.family is Family.CN:
-            return f"Cn:n={self.n}:k={self.k}"
-        return self.family.value
+        """The id `parse_triple_id` reads back: the family, then each parameter that is set."""
+        n = "" if self.n is None else f":n={self.n}"
+        k = "" if self.k is None else f":k={self.k}"
+        return self.family.value + n + k
 
     def is_horospherical(self) -> bool:
         return self.family not in _PINNED
@@ -209,21 +208,6 @@ def stability_verdict(t: TripleSpec) -> StabilityReport:
     else:
         verdict = Verdict.STABLE
     return StabilityReport(triple=t, variety=v, foliation=f, mu_f=mu_f, mu_theta=mu_theta, verdict=verdict)
-
-
-def ambient_dimension(t: TripleSpec) -> int:
-    """dim(V_Y + V_Z), the linear span of the drum embedding."""
-    if t.family is Family.PAS_F4:
-        raise ValueError("no drum embedding is available for PasF4")
-    if t.family is Family.PAS_A1G2:
-        # two copies of the 7-dimensional space of imaginary octonions
-        return 14
-    rs = build_root_system(t.dynkin)
-    dims = []
-    for marking in (t.marking_y, t.marking_z):
-        coeffs = tuple(1 if i in marking.marked else 0 for i in range(rs.rank))
-        dims.append(weyl_dim(rs, Weight(coeffs)))
-    return sum(dims)
 
 
 # --- report serialization ---------------------------------------------------

@@ -22,9 +22,7 @@ class UnsupportedTypeError(ValueError):
     """Raised for Dynkin types outside {A, B, C, F4, G2}."""
 
 
-_VALID_SERIES = {"A", "B", "C", "F", "G"}
-
-# minimal rank per series; F and G also have a fixed rank
+# minimal rank per supported series; F and G also have a fixed rank
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "F": 4, "G": 2}
 _FIXED_RANK = {"F": 4, "G": 2}
 
@@ -35,7 +33,7 @@ class SimpleFactor:
     rank: int
 
     def __post_init__(self):
-        if self.series not in _VALID_SERIES:
+        if self.series not in _MIN_RANK:
             raise UnsupportedTypeError(
                 f"unsupported type {self.series}{self.rank}: only A, B, C, F4, G2"
             )
@@ -109,12 +107,6 @@ class Weight:
     def is_integral(self) -> bool:
         return all(Fraction(c).denominator == 1 for c in self.coeffs)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 def node_labels(dynkin: DynkinType) -> list[str]:
     """Command-line node labels, 1-based: "i" for one factor, "f.i" for products."""
@@ -129,37 +121,45 @@ def weight_label(dynkin: DynkinType, weight: Weight) -> str:
     return "+".join(terms) if terms else "0"
 
 
+# The one multiple bond of each non-simply-laced chain of rank n, as
+# (short node, long node, a[short][long]); every other pair of adjacent nodes
+# has a[i][j] = -1, and type A is simply laced.
+_BOND = {
+    "B": lambda n: (n - 1, n - 2, -2),
+    "C": lambda n: (n - 2, n - 1, -2),
+    "F": lambda n: (2, 1, -2),
+    "G": lambda n: (1, 0, -3),
+}
+
+
+def chain_entry(f: SimpleFactor, i: int, j: int) -> int:
+    """Cartan entry a[i][j] of two adjacent nodes of one factor, without building the matrix."""
+    if f.series in _BOND:
+        short, long_, entry = _BOND[f.series](f.rank)
+        if (i, j) == (short, long_):
+            return entry
+    return -1
+
+
 def factor_cartan(f: SimpleFactor) -> list[list[int]]:
     """Cartan matrix of one factor, a[i][j] = <alpha_j, alpha_i^vee>."""
     n = f.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n - 1):
         a[i][i + 1] = a[i + 1][i] = -1
-    if f.series == "B":  # node n short
-        a[n - 1][n - 2] = -2
-    elif f.series == "C":  # node n long
-        a[n - 2][n - 1] = -2
-    elif f.series == "F":  # nodes 1,2 long, 3,4 short
-        a[2][1] = -2
-    elif f.series == "G":  # node 1 long, node 2 short
-        a[1][0] = -3
+    if f.series in _BOND:
+        short, long_, entry = _BOND[f.series](n)
+        a[short][long_] = entry
     return a
 
 
 def _factor_symmetrizer(f: SimpleFactor) -> list[Fraction]:
     """d_i = (alpha_i, alpha_i)/2 with long roots normalized to length^2 = 2."""
-    n = f.rank
-    if f.series in ("A",):
-        return [Fraction(1)] * n
-    if f.series == "B":
-        return [Fraction(1)] * (n - 1) + [Fraction(1, 2)]
-    if f.series == "C":
-        return [Fraction(1, 2)] * (n - 1) + [Fraction(1)]
-    if f.series == "F":
-        return [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    if f.series == "G":
-        return [Fraction(1), Fraction(1, 3)]
-    raise UnsupportedTypeError(f.series)
+    if f.series not in _BOND:
+        return [Fraction(1)] * f.rank
+    short, long_, entry = _BOND[f.series](f.rank)
+    # the nodes on the short node's side of the bond are the short roots
+    return [Fraction(1, -entry) if (i - long_) * (short - long_) > 0 else Fraction(1) for i in range(f.rank)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import twoorbit
-from twoorbit import cli, fixtures
+from twoorbit import cli, fixtures, rootsys
 from twoorbit.cli import RECORD_FIELDS, main
 from twoorbit.pasquier import enumerate_triples, report_record, stability_verdict
 
@@ -66,6 +66,13 @@ class TestRankCap:
         assert out == ""
         assert "A101 has rank 101, above the limit of 100" in err
 
+    @pytest.mark.parametrize("spec,weight", [("C60", "x"), ("C60", "1,1"), ("G2", "1_0,1")])
+    def test_dim_checks_weight_before_building(self, capsys, no_build, spec, weight):
+        code, out, err = run_cli(capsys, "dim", spec, weight)
+        assert code == 2
+        assert out == ""
+        assert "invalid literal" not in err
+
     def test_cap_is_inclusive(self, capsys, no_build):
         with pytest.raises(AssertionError, match="built a root system for A100"):
             run_cli(capsys, "roots", "A100")
@@ -74,6 +81,28 @@ class TestRankCap:
         code, out, _ = run_cli(capsys, "flag", "B101", "--mark", "1")
         assert code == 0
         assert "dimension: 201" in out  # the quadric Q^201
+
+
+class TestCatalogEnumeratesNoRoots:
+    """The catalog commands and flag work from the Dynkin diagram alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--max-n", "12"),
+            ("verify", "--max-n", "12"),
+            ("check", "PasA1G2"),
+            ("check", "Bn:n=20000"),
+            ("flag", "B60", "--mark", "30"),
+        ],
+    )
+    def test_no_closure(self, capsys, monkeypatch, argv):
+        def refuse(cartan):
+            raise AssertionError("enumerated the roots of a Cartan matrix")
+
+        monkeypatch.setattr(rootsys, "closure_from_cartan", refuse)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
 
 
 class TestFlag:

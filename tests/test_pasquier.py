@@ -10,7 +10,6 @@ from twoorbit.pasquier import (
     Family,
     TripleSpec,
     Verdict,
-    ambient_dimension,
     enumerate_triples,
     parse_triple_id,
     report_record,
@@ -219,21 +218,6 @@ class TestOneEvaluationPerTriple:
     def test_verify(self, calls):
         assert fixtures.verify(12) == []
         assert calls == Counter(enumerate_triples(12))
-
-
-class TestAmbientDimension:
-    def test_g2_drum_spans_both_small_reps(self):
-        assert ambient_dimension(TripleSpec(Family.G2_HORO)) == 21
-
-    def test_b3_spinor_drum(self):
-        assert ambient_dimension(TripleSpec(Family.BN_SPINOR, n=3)) == 29
-
-    def test_a1g2_octonion_model(self):
-        assert ambient_dimension(TripleSpec(Family.PAS_A1G2)) == 14
-
-    def test_f4_exceptional_has_no_drum(self):
-        with pytest.raises(ValueError):
-            ambient_dimension(TripleSpec(Family.PAS_F4))
 
 
 class TestReportRecord:

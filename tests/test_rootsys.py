@@ -81,7 +81,8 @@ def test_bad_ranks_rejected(spec):
         DynkinType.parse(spec)
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2"])
+# at rank 2 the B and C bonds sit at nodes 0-1, the edge of the short-side rule
+@pytest.mark.parametrize("spec", ["A3", "B2", "B3", "B12", "C2", "C3", "C12", "F4", "G2", "A1xG2"])
 def test_symmetrized_cartan_symmetric_positive_definite(spec):
     rs = rs_of(spec)
     n = rs.rank
