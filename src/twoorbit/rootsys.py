@@ -13,6 +13,8 @@ Global node indices are 0-based and concatenate the factors in order.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -183,28 +185,30 @@ def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     Starting from the simple roots, alpha + alpha_i is kept exactly when
     <alpha, alpha_i^vee> minus the length of the descending alpha_i-string
     through alpha is negative.  Products come out block-diagonal for free.
+
+    Only the nodes i on the support of alpha, or with a[i][j] != 0 for some j
+    on it, are tried: for any other i both the pairing and the string length
+    are 0, so the rule rejects alpha + alpha_i anyway.  The pairing reads the
+    nonzero entries of row i only.
     """
     n = len(cartan)
-    known: set[tuple[int, ...]] = set()
-    level = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known.update(level)
+    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    touching = [[i for i in range(n) if i == j or cartan[i][j]] for j in range(n)]
+    level = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    known = set(level)
     while level:
         nxt = []
         for m in level:
-            for i in range(n):
-                cand = tuple(c + (1 if j == i else 0) for j, c in enumerate(m))
+            for i in {i for j, c in enumerate(m) if c for i in touching[j]}:
+                head, mi, tail = m[:i], m[i], m[i + 1 :]
+                cand = head + (mi + 1,) + tail
                 if cand in known:
                     continue
                 # descending alpha_i-string length through m
                 p = 0
-                down = list(m)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
+                while p < mi and head + (mi - p - 1,) + tail in known:
                     p += 1
-                pairing = sum(cartan[i][j] * m[j] for j in range(n))
-                if pairing - p < 0:
+                if sum(a * m[j] for j, a in sparse_rows[i]) - p < 0:
                     known.add(cand)
                     nxt.append(cand)
         level = nxt
@@ -268,21 +272,30 @@ def rho(rs: RootSystem) -> Weight:
     return Weight((1,) * rs.rank)
 
 
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Dimension of the irreducible representation with highest weight `lam`.
-
-    prod_{alpha>0} <lam+rho, alpha^vee> / <rho, alpha^vee>, evaluated exactly.
-    """
+def check_highest_weight(lam: Weight) -> None:
+    """Raise ValueError unless `lam` is integral and dominant."""
     if not lam.is_integral():
         raise ValueError(f"highest weight must be integral: {lam}")
     if not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant: {lam}")
-    d = rs.symmetrizer
-    result = Fraction(1)
-    for alpha in rs.positive_roots:
-        m = alpha.coeffs
-        num = sum((c + 1) * d[j] * m[j] for j, c in enumerate(lam.coeffs))
-        den = sum(d[j] * m[j] for j in range(rs.rank) if m[j])
-        result *= Fraction(num, den)
-    assert result.denominator == 1 and result > 0
-    return int(result)
+
+
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """Dimension of the irreducible representation with highest weight `lam`.
+
+    prod_{alpha>0} <lam+rho, alpha^vee> / <rho, alpha^vee>, evaluated exactly:
+    with the symmetrizer scaled to integers, both products are integers and
+    one division ends it.
+    """
+    if len(lam.coeffs) != rs.rank:
+        raise ValueError(f"a weight of {rs.dynkin} needs {rs.rank} coefficients, got {len(lam.coeffs)}")
+    check_highest_weight(lam)
+    scale = math.lcm(*(x.denominator for x in rs.symmetrizer))
+    d = [int(x * scale) for x in rs.symmetrizer]
+    shifted = [(int(c) + 1) * dj for c, dj in zip(lam.coeffs, d)]
+    num = math.prod(sum(map(operator.mul, shifted, alpha.coeffs)) for alpha in rs.positive_roots)
+    den = math.prod(sum(map(operator.mul, d, alpha.coeffs)) for alpha in rs.positive_roots)
+    result, remainder = divmod(num, den)
+    if remainder or result <= 0:
+        raise ArithmeticError(f"Weyl product for {lam} is not a positive integer")
+    return result

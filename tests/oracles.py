@@ -55,8 +55,12 @@ def _weight_gram(rs: RootSystem) -> list[list[Fraction]]:
     return [[ainv[j][i] * rs.symmetrizer[j] for j in range(n)] for i in range(n)]
 
 
-def freudenthal_dim(rs: RootSystem, lam: Weight) -> int:
-    """dim of the highest-weight module, summing Freudenthal multiplicities."""
+def freudenthal_dim(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> int | None:
+    """dim of the highest-weight module, summing Freudenthal multiplicities.
+
+    With `max_dim` it returns None as soon as the multiplicities found so far
+    add up to more, which bounds its work on large modules.
+    """
     n = rs.rank
     gram = _weight_gram(rs)
     d = rs.symmetrizer
@@ -75,6 +79,7 @@ def freudenthal_dim(rs: RootSystem, lam: Weight) -> int:
     top = tuple(int(c) for c in lam.coeffs)
     top_norm = norm2_shifted(top)
     mult = {top: 1}
+    dim = 1
     level = [top]
     simple_w = [tuple(rs.cartan[i][j] for i in range(n)) for j in range(n)]
     while level:
@@ -99,6 +104,9 @@ def freudenthal_dim(rs: RootSystem, lam: Weight) -> int:
             m_mu = 2 * total / denom
             assert m_mu.denominator == 1 and m_mu > 0
             mult[mu] = int(m_mu)
+            dim += mult[mu]
+            if max_dim is not None and dim > max_dim:
+                return None
             nxt.append(mu)
         level = nxt
-    return sum(mult.values())
+    return dim

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,9 +67,12 @@ class TestRankCap:
         assert out == ""
         assert "A101 has rank 101, above the limit of 100" in err
 
-    @pytest.mark.parametrize("spec,weight", [("C60", "x"), ("C60", "1,1"), ("G2", "1_0,1")])
+    @pytest.mark.parametrize(
+        "spec,weight",
+        [("C60", "x"), ("C60", "1,1"), ("G2", "1_0,1"), ("C60", ",".join(["-1"] + ["1"] * 59))],
+    )
     def test_dim_checks_weight_before_building(self, capsys, no_build, spec, weight):
-        code, out, err = run_cli(capsys, "dim", spec, weight)
+        code, out, err = run_cli(capsys, "dim", spec, "--", weight)
         assert code == 2
         assert out == ""
         assert "invalid literal" not in err
@@ -171,6 +175,34 @@ class TestDim:
         code, _, err = run_cli(capsys, "dim", "G2", "0,-1")
         assert code == 2
         assert "dominant" in err
+
+    def test_leading_minus_needs_double_dash(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "C3", "-1,0,0"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: weight" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "dim", "C3", "--", "-1,0,0")
+        assert code == 2
+        assert out == ""
+        assert "highest weight must be dominant" in err
+
+
+# sha256 of the stdout of commands that enumerate roots, so that a change of
+# their order or format fails here
+PINNED_STDOUT = {
+    ("roots", "G2"): "4e1cefd6fc6fcd8ac83e75daf9d469ae32627cfff533c3f15a40daefd2b46e44",
+    ("roots", "F4"): "d45be0caecc2b7f1511ce809ed6c61d1569fe2f2b160f968f8d29d9c602b6874",
+    ("roots", "B3xC2"): "85d5e0743d10d461f6db91a6531e3edb8f9209c42922c33633f16a853cfe13d6",
+    ("roots", "C12"): "a8664e134a1d252f62c8195a13de119bf71bc46b405d22fbe0f45908042ff47c",
+    ("dim", "F4", "1,1,1,1"): "1c717f8a059be27832853ed4d506f3c7ab305023703aefda2b2272606e13ee01",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_enumeration_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 class TestTable:

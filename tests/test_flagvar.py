@@ -18,7 +18,6 @@ from twoorbit.flagvar import (
     nilradical_roots,
 )
 from twoorbit.rootsys import (
-    _MIN_RANK,
     DynkinType,
     SimpleFactor,
     Weight,
@@ -26,6 +25,7 @@ from twoorbit.rootsys import (
     closure_from_cartan,
     factor_cartan,
 )
+from strategies import dynkin_products
 
 
 def rs_of(spec):
@@ -239,13 +239,7 @@ def test_run_closed_forms_match_closure(factor):
 @st.composite
 def marked_products(draw, max_rank=12):
     """A product of A/B/C/F4/G2 factors of total rank <= max_rank, with a marking."""
-    factors, left = [], max_rank
-    while not factors or (left and draw(st.booleans())):
-        series = draw(st.sampled_from([s for s, r in _MIN_RANK.items() if r <= left]))
-        rank = _MIN_RANK[series] if series in "FG" else draw(st.integers(_MIN_RANK[series], left))
-        factors.append(SimpleFactor(series, rank))
-        left -= rank
-    dynkin = DynkinType(tuple(factors))
+    dynkin = draw(dynkin_products(max_rank))
     marked = draw(st.frozensets(st.integers(0, dynkin.rank - 1), min_size=1))
     return dynkin, ParabolicMarking(marked)
 

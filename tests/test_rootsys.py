@@ -2,10 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoorbit.rootsys import (
     DynkinType,
     Root,
+    RootSystem,
     SimpleFactor,
     UnsupportedTypeError,
     Weight,
@@ -16,6 +19,7 @@ from twoorbit.rootsys import (
     weyl_dim,
 )
 from oracles import freudenthal_dim, reflection_closure_positive_roots
+from strategies import dynkin_products
 
 
 def rs_of(spec):
@@ -39,6 +43,16 @@ def test_positive_root_counts(spec, count):
 def test_roots_match_reflection_closure(spec):
     rs = rs_of(spec)
     assert {r.coeffs for r in rs.positive_roots} == reflection_closure_positive_roots(rs)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(dynkin_products())
+def test_closure_matches_reflection_closure_on_products(dynkin):
+    rs = build_root_system(dynkin)
+    roots = [r.coeffs for r in rs.positive_roots]
+    assert set(roots) == reflection_closure_positive_roots(rs)
+    assert len(roots) == len(set(roots))
+    assert roots == sorted(roots, key=lambda m: (sum(m), m))
 
 
 @pytest.mark.parametrize("spec", ["A4", "B4", "C4", "F4", "G2", "A1xG2"])
@@ -223,6 +237,34 @@ class TestWeylDim:
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
             weyl_dim(rs_of("G2"), Weight((Fraction(1, 2), 0)))
+
+    @pytest.mark.parametrize("lam", [(1,), (1, 0, 0)])
+    def test_rejects_wrong_length(self, lam):
+        with pytest.raises(ValueError, match="needs 2 coefficients"):
+            weyl_dim(rs_of("G2"), Weight(lam))
+
+    def test_inexact_product_raises(self):
+        # A2 short of its simple roots: the product over (1,1) alone is 3/2
+        rs = rs_of("A2")
+        broken = RootSystem(rs.dynkin, rs.cartan, rs.symmetrizer, (Root((1, 1)),))
+        with pytest.raises(ArithmeticError, match="not a positive integer"):
+            weyl_dim(broken, Weight((1, 0)))
+
+    # past this many weights (counted with multiplicity) the oracle stops and
+    # only proves the dimension is larger: a weight of F4 or B4 with
+    # coefficients up to 2 would otherwise take it seconds to minutes
+    ORACLE_MAX_DIM = 150
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_freudenthal_on_products(self, data):
+        rs = build_root_system(data.draw(dynkin_products(max_rank=4)))
+        lam = Weight(tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))))
+        expected = freudenthal_dim(rs, lam, max_dim=self.ORACLE_MAX_DIM)
+        if expected is None:
+            assert weyl_dim(rs, lam) > self.ORACLE_MAX_DIM
+        else:
+            assert weyl_dim(rs, lam) == expected
 
 
 def test_no_floats_anywhere():
