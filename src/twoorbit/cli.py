@@ -27,7 +27,7 @@ from .rootsys import (
     Weight,
     build_root_system,
     check_highest_weight,
-    node_labels,
+    node_label,
     weight_label,
     weyl_dim,
 )
@@ -119,8 +119,7 @@ def cmd_flag(args) -> int:
     dynkin = _parse_type(args.type)
     marking = _parse_nodes(dynkin, args.mark)
     inv = flag_invariants(dynkin, marking)
-    labels = node_labels(dynkin)
-    marked = ",".join(labels[i] for i in sorted(marking.marked))
+    marked = ",".join(node_label(dynkin, i) for i in sorted(marking.marked))
     print(f"type: {dynkin}  marked: {marked}")
     print(f"dimension: {inv.dimension}")
     print(f"picard_rank: {inv.picard_rank}")

@@ -1,8 +1,9 @@
 """Embedded expected-value tables and the verification harness.
 
 The closed forms below are transcriptions of the published invariant tables
-for the two-orbit catalog.  `verify` recomputes every value from root-system
-data and reports each mismatch as (table, row, column, expected, actual).
+for the two-orbit catalog.  `verify` recomputes every value from the Dynkin
+diagram alone, through `stability_verdict` and the diagram path of `flagvar`,
+and reports each mismatch as (table, row, column, expected, actual).
 """
 
 from __future__ import annotations

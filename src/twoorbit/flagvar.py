@@ -42,7 +42,7 @@ class ParabolicMarking:
 class FlagInvariants:
     dimension: int
     picard_rank: int
-    anticanonical: Weight
+    anticanonical: dict[int, int]  # -K on each marked node, in node order; 0 off the marking
     index: int | None  # present iff the parabolic is maximal
 
 
@@ -50,14 +50,6 @@ def _check(rank: int, m: ParabolicMarking) -> None:
     bad = [i for i in m.marked if not 0 <= i < rank]
     if bad:
         raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rank - 1}")
-
-
-def _index(anti: Weight, m: ParabolicMarking) -> int:
-    """The Fano index: the coefficient of -K on the node of a maximal parabolic."""
-    if len(m.marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
-    (node,) = m.marked
-    return int(anti.coeffs[node])
 
 
 # --- root enumeration --------------------------------------------------------
@@ -76,16 +68,16 @@ def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
 
 def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
     """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
-    total = [0] * rs.rank
-    for a in nilradical_roots(rs, m):
-        for j, c in enumerate(a.coeffs):
-            total[j] += c
-    return root_to_weight(rs, Root(tuple(total)))
+    nil = nilradical_roots(rs, m)
+    return root_to_weight(rs, Root(tuple(sum(a.coeffs[j] for a in nil) for j in range(rs.rank))))
 
 
 def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
-    """Fano index of G/P for a maximal parabolic (singleton marking)."""
-    return _index(anticanonical_weight(rs, m), m)
+    """Fano index of G/P for a maximal parabolic: the coefficient of -K on its node."""
+    if len(m.marked) != 1:
+        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
+    (node,) = m.marked
+    return int(anticanonical_weight(rs, m).coeffs[node])
 
 
 # --- the diagram path --------------------------------------------------------
@@ -128,48 +120,27 @@ def _levi_runs(rank: int, marked: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _factor_markings(dynkin: DynkinType, m: ParabolicMarking):
-    """(factor, offset, sorted marked nodes local to the factor) for each factor."""
+def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
+    """Dimension and -K of G/P from the diagram alone, in one walk over the marked nodes."""
     _check(dynkin.rank, m)
     marked = sorted(m.marked)
-    for offset, f in zip(dynkin.factor_offsets(), dynkin.factors):
-        yield f, offset, [i - offset for i in marked if offset <= i < offset + f.rank]
-
-
-def flag_dimension_of_type(dynkin: DynkinType, m: ParabolicMarking) -> int:
-    """flag_dimension computed from the diagram alone, without root enumeration."""
-    total = 0
-    for f, _, local in _factor_markings(dynkin, m):
-        total += _run_data(f.series, f.rank, 0, f.rank - 1)[0]
-        for lo, hi in _levi_runs(f.rank, local):
-            total -= _run_data(f.series, f.rank, lo, hi)[0]
-    return total
-
-
-def anticanonical_weight_of_type(dynkin: DynkinType, m: ParabolicMarking) -> Weight:
-    """anticanonical_weight computed from the diagram alone."""
-    coeffs = [0] * dynkin.rank
-    for f, offset, local in _factor_markings(dynkin, m):
+    dimension, anti, offset = 0, {}, 0
+    for f in dynkin.factors:
+        local = [i - offset for i in marked if offset <= i < offset + f.rank]
+        dimension += _run_data(f.series, f.rank, 0, f.rank - 1)[0]
         for i in local:
-            coeffs[offset + i] = 2
+            anti[offset + i] = 2
         for lo, hi in _levi_runs(f.rank, local):
-            _, first, last = _run_data(f.series, f.rank, lo, hi)
+            count, first, last = _run_data(f.series, f.rank, lo, hi)
+            dimension -= count
             if lo > 0:
-                coeffs[offset + lo - 1] -= first * chain_entry(f, lo - 1, lo)
+                anti[offset + lo - 1] -= first * chain_entry(f, lo - 1, lo)
             if hi < f.rank - 1:
-                coeffs[offset + hi + 1] -= last * chain_entry(f, hi + 1, hi)
-    return Weight(tuple(coeffs))
-
-
-def fano_index_of_type(dynkin: DynkinType, m: ParabolicMarking) -> int:
-    return _index(anticanonical_weight_of_type(dynkin, m), m)
-
-
-def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
-    anti = anticanonical_weight_of_type(dynkin, m)
+                anti[offset + hi + 1] -= last * chain_entry(f, hi + 1, hi)
+        offset += f.rank
     return FlagInvariants(
-        dimension=flag_dimension_of_type(dynkin, m),
-        picard_rank=len(m.marked),
+        dimension=dimension,
+        picard_rank=len(marked),
         anticanonical=anti,
-        index=_index(anti, m) if len(m.marked) == 1 else None,
+        index=anti[marked[0]] if len(marked) == 1 else None,
     )

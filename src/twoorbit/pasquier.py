@@ -13,13 +13,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flagvar import (
-    ParabolicMarking,
-    anticanonical_weight_of_type,
-    fano_index_of_type,
-    flag_dimension_of_type,
-)
-from .rootsys import DynkinType, Weight, weight_label
+from .flagvar import ParabolicMarking, flag_invariants
+from .rootsys import DynkinType, weight_label
 
 
 class Family(enum.Enum):
@@ -127,7 +122,7 @@ class VarietyInvariants:
     dim_z: int
     dim_x: int
     c1_y: int
-    c1_z: Weight  # full anticanonical of Z; Picard rank 2 for Pas_{A1xG2}
+    c1_z: dict[int, int]  # -K_Z on its marked nodes; Picard rank 2 for Pas_{A1xG2}
     r_x: int
 
     @property
@@ -135,9 +130,8 @@ class VarietyInvariants:
         return self.dim_x - self.dim_z
 
     def c1_z_scalar(self) -> int | None:
-        """Collapse c1_Z to its single nonzero coefficient when possible."""
-        nonzero = [int(c) for c in self.c1_z.coeffs if c]
-        return nonzero[0] if len(nonzero) == 1 else None
+        """Collapse c1_Z to its one coefficient when Z has Picard rank 1."""
+        return next(iter(self.c1_z.values())) if len(self.c1_z) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -176,14 +170,13 @@ _PINNED = {
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, m_y, m_z = t.dynkin, t.marking_y, t.marking_z
-    dim_y = flag_dimension_of_type(dynkin, m_y)
-    dim_z = flag_dimension_of_type(dynkin, m_z)
-    dim_x = flag_dimension_of_type(dynkin, m_y.union(m_z)) + 1
-    c1_y = fano_index_of_type(dynkin, m_y)
-    c1_z = anticanonical_weight_of_type(dynkin, m_z)
+    y, z = flag_invariants(dynkin, m_y), flag_invariants(dynkin, m_z)
+    dim_x = flag_invariants(dynkin, m_y.union(m_z)).dimension + 1
     # blow-up canonical formula applied to the drum contraction, unless pinned
-    r_x = _PINNED[t.family][0] if t.family in _PINNED else 2 * dim_x - dim_y - dim_z
-    return VarietyInvariants(dim_y=dim_y, dim_z=dim_z, dim_x=dim_x, c1_y=c1_y, c1_z=c1_z, r_x=r_x)
+    r_x = _PINNED[t.family][0] if t.family in _PINNED else 2 * dim_x - y.dimension - z.dimension
+    return VarietyInvariants(
+        dim_y=y.dimension, dim_z=z.dimension, dim_x=dim_x, c1_y=y.index, c1_z=z.anticanonical, r_x=r_x
+    )
 
 
 def foliation_invariants(t: TripleSpec, v: VarietyInvariants) -> FoliationInvariants:

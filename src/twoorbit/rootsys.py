@@ -110,16 +110,20 @@ class Weight:
         return all(Fraction(c).denominator == 1 for c in self.coeffs)
 
 
-def node_labels(dynkin: DynkinType) -> list[str]:
-    """Command-line node labels, 1-based: "i" for one factor, "f.i" for products."""
+def node_label(dynkin: DynkinType, i: int) -> str:
+    """Command-line label of global node i, 1-based: "i" for one factor, "f.i" for products."""
     if len(dynkin.factors) == 1:
-        return [str(i + 1) for i in range(dynkin.rank)]
-    return [f"{pos}.{i + 1}" for pos, f in enumerate(dynkin.factors, start=1) for i in range(f.rank)]
+        return str(i + 1)
+    for pos, f in enumerate(dynkin.factors, start=1):
+        if i < f.rank:
+            return f"{pos}.{i + 1}"
+        i -= f.rank
+    raise ValueError(f"node out of range for {dynkin}")
 
 
-def weight_label(dynkin: DynkinType, weight: Weight) -> str:
-    """Render a weight like "3w1+5w3", or "2w1.1+5w2.2" for products."""
-    terms = [f"{int(c)}w{label}" for c, label in zip(weight.coeffs, node_labels(dynkin)) if c]
+def weight_label(dynkin: DynkinType, weight: dict[int, int]) -> str:
+    """Render a sparse weight {node: coefficient} like "3w1+5w3", or "2w1.1+5w2.2" for products."""
+    terms = [f"{c}w{node_label(dynkin, i)}" for i, c in weight.items() if c]
     return "+".join(terms) if terms else "0"
 
 

@@ -86,6 +86,13 @@ class TestRankCap:
         assert code == 0
         assert "dimension: 201" in out  # the quadric Q^201
 
+    def test_huge_rank(self, capsys):
+        n = 99999999999999999999
+        code, out, _ = run_cli(capsys, "flag", f"B{n}", "--mark", "1")
+        assert code == 0
+        assert f"dimension: {2 * n - 1}\n" in out  # the quadric Q^(2n-1)
+        assert f"index: {2 * n - 1}\n" in out
+
 
 class TestCatalogEnumeratesNoRoots:
     """The catalog commands and flag work from the Dynkin diagram alone."""
@@ -262,6 +269,12 @@ class TestCheck:
         assert code == 0
         assert "c1_Z: 2w1.1+5w2.2" in out
         assert "rank_EY: \n" in out
+
+    def test_huge_rank(self, capsys):
+        code, out, _ = run_cli(capsys, "check", f"Bn:n={10**30}")
+        assert code == 0
+        assert f"c1_Z: {2 * 10**30}\n" in out
+        assert "verdict: Unstable\n" in out
 
     @pytest.mark.parametrize("triple_id", ["Bn:n=--5", "Bn:n=\u00b2"])
     def test_bad_parameter(self, capsys, triple_id):

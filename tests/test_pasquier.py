@@ -16,7 +16,7 @@ from twoorbit.pasquier import (
     stability_verdict,
     variety_invariants,
 )
-from twoorbit.rootsys import DynkinType, Weight, build_root_system
+from twoorbit.rootsys import DynkinType, build_root_system
 
 
 class TestEnumeration:
@@ -110,7 +110,7 @@ class TestVarietyInvariants:
         v = variety_invariants(TripleSpec(Family.PAS_A1G2))
         assert (v.dim_y, v.c1_y) == (5, 3)
         assert v.dim_z == 6
-        assert v.c1_z == Weight((2, 0, 5))
+        assert v.c1_z == {0: 2, 2: 5}
         assert v.c1_z_scalar() is None
         assert (v.dim_x, v.r_x) == (8, 6)
 
@@ -218,6 +218,20 @@ class TestOneEvaluationPerTriple:
     def test_verify(self, calls):
         assert fixtures.verify(12) == []
         assert calls == Counter(enumerate_triples(12))
+
+
+HUGE_N = 10**30
+
+
+class TestHugeRank:
+    """Every closed form is a Python int, so a huge rank costs no more than a small one."""
+
+    def test_spinor_family(self):
+        assert fixtures._check_triple(TripleSpec(Family.BN_SPINOR, n=HUGE_N)) == []
+
+    @pytest.mark.parametrize("k", [2, 1000, HUGE_N - 1, HUGE_N], ids=["2", "1000", "n-1", "n"])
+    def test_c_family(self, k):
+        assert fixtures._check_triple(TripleSpec(Family.CN, n=HUGE_N, k=k)) == []
 
 
 class TestReportRecord:
