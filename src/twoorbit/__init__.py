@@ -8,19 +8,9 @@ from .rootsys import (
     UnsupportedTypeError,
     Weight,
     build_root_system,
-    coroot_pairing,
-    rho,
-    root_to_weight,
     weyl_dim,
 )
-from .flagvar import (
-    FlagInvariants,
-    ParabolicMarking,
-    anticanonical_weight,
-    fano_index,
-    flag_dimension,
-    flag_invariants,
-)
+from .flagvar import FlagInvariants, ParabolicMarking, flag_invariants
 from .pasquier import (
     Family,
     FoliationInvariants,
@@ -38,9 +28,8 @@ from .pasquier import (
 
 __all__ = [
     "DynkinType", "Root", "RootSystem", "SimpleFactor", "UnsupportedTypeError", "Weight",
-    "build_root_system", "coroot_pairing", "rho", "root_to_weight", "weyl_dim",
-    "FlagInvariants", "ParabolicMarking", "anticanonical_weight", "fano_index",
-    "flag_dimension", "flag_invariants",
+    "build_root_system", "weyl_dim",
+    "FlagInvariants", "ParabolicMarking", "flag_invariants",
     "Family", "FoliationInvariants", "StabilityReport", "TripleSpec",
     "VarietyInvariants", "Verdict", "enumerate_triples",
     "foliation_invariants", "parse_triple_id", "report_record", "stability_verdict",

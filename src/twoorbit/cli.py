@@ -8,6 +8,7 @@ stdout is closed before all of the output is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,6 +43,20 @@ MAX_ENUMERATION_RANK = 100
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _printable():
+    """Render output in this block, refusing an integer past Python's int-to-str digit limit.
+
+    Output is printed only after the block, so a refused result prints nothing.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(
+            f"cannot print the result: it has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _parse_type(spec: str) -> DynkinType:
@@ -119,13 +134,17 @@ def cmd_flag(args) -> int:
     dynkin = _parse_type(args.type)
     marking = _parse_nodes(dynkin, args.mark)
     inv = flag_invariants(dynkin, marking)
-    marked = ",".join(node_label(dynkin, i) for i in sorted(marking.marked))
-    print(f"type: {dynkin}  marked: {marked}")
-    print(f"dimension: {inv.dimension}")
-    print(f"picard_rank: {inv.picard_rank}")
-    print(f"anticanonical: {weight_label(dynkin, inv.anticanonical)}")
-    if inv.index is not None:
-        print(f"index: {inv.index}")
+    with _printable():
+        marked = ",".join(node_label(dynkin, i) for i in sorted(marking.marked))
+        lines = [
+            f"type: {dynkin}  marked: {marked}",
+            f"dimension: {inv.dimension}",
+            f"picard_rank: {inv.picard_rank}",
+            f"anticanonical: {weight_label(dynkin, inv.anticanonical)}",
+        ]
+        if inv.index is not None:
+            lines.append(f"index: {inv.index}")
+    print("\n".join(lines))
     return 0
 
 
@@ -174,9 +193,11 @@ def cmd_check(args) -> int:
         triple = parse_triple_id(args.triple_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rec = report_record(stability_verdict(triple))
-    for key in RECORD_FIELDS:
-        print(f"{key}: {_render_value(rec[key])}")
+    report = stability_verdict(triple)
+    with _printable():
+        rec = report_record(report)
+        lines = [f"{key}: {_render_value(rec[key])}" for key in RECORD_FIELDS]
+    print("\n".join(lines))
     return 0
 
 

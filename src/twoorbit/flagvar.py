@@ -3,21 +3,15 @@
 A marking is the set of simple roots *outside* the Levi subgroup.  The
 dimension of G/P is the number of nilradical roots (positive roots supported
 on the marking), and the anticanonical class is their sum written in the
-fundamental-weight basis.
+fundamental-weight basis.  Both are read off the Dynkin diagram here, without
+enumerating a root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import (
-    DynkinType,
-    Root,
-    RootSystem,
-    Weight,
-    chain_entry,
-    root_to_weight,
-)
+from .rootsys import DynkinType, chain_entry
 
 
 @dataclass(frozen=True)
@@ -52,36 +46,6 @@ def _check(rank: int, m: ParabolicMarking) -> None:
         raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rank - 1}")
 
 
-# --- root enumeration --------------------------------------------------------
-#
-# Kept as the reference the diagram path below is tested against.
-
-def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[Root]:
-    _check(rs.rank, m)
-    return [a for a in rs.positive_roots if any(a.coeffs[i] for i in m.marked)]
-
-
-def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
-    """dim G/P = number of positive roots supported on the marked set."""
-    return len(nilradical_roots(rs, m))
-
-
-def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
-    """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
-    nil = nilradical_roots(rs, m)
-    return root_to_weight(rs, Root(tuple(sum(a.coeffs[j] for a in nil) for j in range(rs.rank))))
-
-
-def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
-    """Fano index of G/P for a maximal parabolic: the coefficient of -K on its node."""
-    if len(m.marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
-    (node,) = m.marked
-    return int(anticanonical_weight(rs, m).coeffs[node])
-
-
-# --- the diagram path --------------------------------------------------------
-#
 # The nilradical count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical
 # weight is 2*rho - sum(Phi+(Levi)), which vanishes off the marked set.  Every
 # supported factor diagram is a chain, so the Levi splits into runs of

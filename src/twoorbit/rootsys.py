@@ -1,7 +1,7 @@
 """Root systems for types A, B, C, F4, G2 and their finite products.
 
 All data lives in two coordinate systems: roots carry integer coordinates in
-the simple-root basis, weights carry rational coordinates in the
+the simple-root basis, weights carry integer coordinates in the
 fundamental-weight basis.  Every operation is exact; no floats anywhere.
 
 Node labeling within a factor follows Bourbaki for A, B, C, F4 (B_n: node n
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -99,15 +98,15 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight in fundamental-weight coordinates (exact rationals)."""
+    """A weight in fundamental-weight coordinates (integers)."""
 
-    coeffs: tuple[Fraction | int, ...]
+    coeffs: tuple[int, ...]
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coeffs)
+        return all(int(c) == c for c in self.coeffs)
 
 
 def node_label(dynkin: DynkinType, i: int) -> str:
@@ -159,28 +158,28 @@ def factor_cartan(f: SimpleFactor) -> list[list[int]]:
     return a
 
 
-def _factor_symmetrizer(f: SimpleFactor) -> list[Fraction]:
-    """d_i = (alpha_i, alpha_i)/2 with long roots normalized to length^2 = 2."""
+def _factor_symmetrizer(f: SimpleFactor) -> list[int]:
+    """d_i = (alpha_i, alpha_i)/2 with short roots normalized to length^2 = 2.
+
+    So d_i is 1 on type A and on short nodes, and |a[short][long]| on long ones.
+    """
     if f.series not in _BOND:
-        return [Fraction(1)] * f.rank
+        return [1] * f.rank
     short, long_, entry = _BOND[f.series](f.rank)
     # the nodes on the short node's side of the bond are the short roots
-    return [Fraction(1, -entry) if (i - long_) * (short - long_) > 0 else Fraction(1) for i in range(f.rank)]
+    return [1 if (i - long_) * (short - long_) > 0 else -entry for i in range(f.rank)]
 
 
 @dataclass(frozen=True)
 class RootSystem:
     dynkin: DynkinType
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
+    symmetrizer: tuple[int, ...]
     positive_roots: tuple[Root, ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.dynkin.rank
-
-    def is_root(self, alpha: Root) -> bool:
-        return alpha in self.positive_roots or -alpha in self.positive_roots
 
 
 def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -223,7 +222,7 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     """Build a root system with its Cartan data and full positive-root list."""
     n = dynkin.rank
     cartan = [[0] * n for _ in range(n)]
-    symmetrizer: list[Fraction] = []
+    symmetrizer: list[int] = []
     off = 0
     for f in dynkin.factors:
         block = factor_cartan(f)
@@ -242,40 +241,6 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     )
 
 
-def root_form(rs: RootSystem, m1: Sequence[int], m2: Sequence[int]) -> Fraction:
-    """Symmetrized bilinear form of two vectors in simple-root coordinates."""
-    d, a = rs.symmetrizer, rs.cartan
-    total = Fraction(0)
-    for i, x in enumerate(m1):
-        if x:
-            total += sum(x * y * d[i] * a[i][j] for j, y in enumerate(m2) if y)
-    return total
-
-
-def root_to_weight(rs: RootSystem, alpha: Root) -> Weight:
-    """Convert simple-root coordinates to the fundamental-weight basis.
-
-    Done by pairing against every simple coroot, which stays in integers.
-    """
-    m = alpha.coeffs
-    return Weight(tuple(sum(rs.cartan[i][j] * m[j] for j in range(rs.rank)) for i in range(rs.rank)))
-
-
-def coroot_pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
-    """<lam, alpha^vee> = 2(lam, alpha)/(alpha, alpha)."""
-    if not rs.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root of {rs.dynkin}")
-    m = alpha.coeffs
-    d = rs.symmetrizer
-    num = sum(Fraction(c) * d[j] * m[j] for j, c in enumerate(lam.coeffs))
-    return 2 * num / root_form(rs, m, m)
-
-
-def rho(rs: RootSystem) -> Weight:
-    """Half the sum of positive roots: the all-ones weight."""
-    return Weight((1,) * rs.rank)
-
-
 def check_highest_weight(lam: Weight) -> None:
     """Raise ValueError unless `lam` is integral and dominant."""
     if not lam.is_integral():
@@ -288,14 +253,13 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible representation with highest weight `lam`.
 
     prod_{alpha>0} <lam+rho, alpha^vee> / <rho, alpha^vee>, evaluated exactly:
-    with the symmetrizer scaled to integers, both products are integers and
-    one division ends it.
+    the symmetrizer is integer, so both products are integers and one
+    division ends it.
     """
     if len(lam.coeffs) != rs.rank:
         raise ValueError(f"a weight of {rs.dynkin} needs {rs.rank} coefficients, got {len(lam.coeffs)}")
     check_highest_weight(lam)
-    scale = math.lcm(*(x.denominator for x in rs.symmetrizer))
-    d = [int(x * scale) for x in rs.symmetrizer]
+    d = rs.symmetrizer
     shifted = [(int(c) + 1) * dj for c, dj in zip(lam.coeffs, d)]
     num = math.prod(sum(map(operator.mul, shifted, alpha.coeffs)) for alpha in rs.positive_roots)
     den = math.prod(sum(map(operator.mul, d, alpha.coeffs)) for alpha in rs.positive_roots)

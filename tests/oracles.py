@@ -1,15 +1,91 @@
 """Independent small-rank oracles used to cross-check the main implementation.
 
-Both deliberately avoid the code paths they check: roots are enumerated by
-Weyl-reflection closure instead of root strings, and representation dimensions
-come from Freudenthal's multiplicity recursion instead of the Weyl product.
+Each deliberately avoids the code path it checks: roots are enumerated by
+Weyl-reflection closure instead of root strings, representation dimensions
+come from Freudenthal's multiplicity recursion instead of the Weyl product,
+and flag-variety invariants come from enumerating the nilradical roots
+instead of the diagram path of `twoorbit.flagvar`.  The coroot pairings and
+root-to-weight conversion those checks use live here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from twoorbit.rootsys import RootSystem, Weight
+from twoorbit.flagvar import ParabolicMarking
+from twoorbit.rootsys import Root, RootSystem, Weight
+
+
+# --- roots and weights -------------------------------------------------------
+
+def is_root(rs: RootSystem, alpha: Root) -> bool:
+    return alpha in rs.positive_roots or -alpha in rs.positive_roots
+
+
+def rho(rs: RootSystem) -> Weight:
+    """Half the sum of positive roots: the all-ones weight."""
+    return Weight((1,) * rs.rank)
+
+
+def root_form(rs: RootSystem, m1: Sequence[int], m2: Sequence[int]) -> Fraction:
+    """Symmetrized bilinear form of two vectors in simple-root coordinates."""
+    d, a = rs.symmetrizer, rs.cartan
+    total = Fraction(0)
+    for i, x in enumerate(m1):
+        if x:
+            total += sum(x * y * d[i] * a[i][j] for j, y in enumerate(m2) if y)
+    return total
+
+
+def root_to_weight(rs: RootSystem, alpha: Root) -> Weight:
+    """Convert simple-root coordinates to the fundamental-weight basis.
+
+    Done by pairing against every simple coroot, which stays in integers.
+    """
+    m = alpha.coeffs
+    return Weight(tuple(sum(rs.cartan[i][j] * m[j] for j in range(rs.rank)) for i in range(rs.rank)))
+
+
+def coroot_pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
+    """<lam, alpha^vee> = 2(lam, alpha)/(alpha, alpha)."""
+    if not is_root(rs, alpha):
+        raise ValueError(f"{alpha} is not a root of {rs.dynkin}")
+    m = alpha.coeffs
+    d = rs.symmetrizer
+    num = sum(Fraction(c) * d[j] * m[j] for j, c in enumerate(lam.coeffs))
+    return 2 * num / root_form(rs, m, m)
+
+
+# --- flag varieties by root enumeration --------------------------------------
+
+def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[Root]:
+    bad = [i for i in m.marked if not 0 <= i < rs.rank]
+    if bad:
+        raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rs.rank - 1}")
+    return [a for a in rs.positive_roots if any(a.coeffs[i] for i in m.marked)]
+
+
+def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
+    """dim G/P = number of positive roots supported on the marked set."""
+    return len(nilradical_roots(rs, m))
+
+
+def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
+    """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
+    nil = nilradical_roots(rs, m)
+    return root_to_weight(rs, Root(tuple(sum(a.coeffs[j] for a in nil) for j in range(rs.rank))))
+
+
+def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
+    """Fano index of G/P for a maximal parabolic: the coefficient of -K on its node."""
+    if len(m.marked) != 1:
+        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
+    (node,) = m.marked
+    return int(anticanonical_weight(rs, m).coeffs[node])
+
+
+# --- reflection closure and Freudenthal --------------------------------------
 
 
 def reflection_closure_positive_roots(rs: RootSystem) -> set[tuple[int, ...]]:

@@ -13,11 +13,7 @@ from fractions import Fraction
 import pytest
 
 from twoorbit.fixtures import BL_H_NUM, CF, CF_NUM, STAB, verify
-from twoorbit.flagvar import (
-    ParabolicMarking,
-    anticanonical_weight,
-    flag_dimension,
-)
+from twoorbit.flagvar import ParabolicMarking
 from twoorbit.pasquier import (
     Family,
     TripleSpec,
@@ -28,7 +24,12 @@ from twoorbit.pasquier import (
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, Weight, build_root_system, weyl_dim
-from oracles import freudenthal_dim, reflection_closure_positive_roots
+from oracles import (
+    anticanonical_weight,
+    flag_dimension,
+    freudenthal_dim,
+    reflection_closure_positive_roots,
+)
 
 
 def _report(criterion: str, detail: str) -> None:

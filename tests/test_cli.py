@@ -166,6 +166,13 @@ class TestFlag:
         assert code == 2
         assert "1..3" in err
 
+    def test_dimension_past_int_digit_limit(self, capsys):
+        # a rank of 3,001 digits is parsed, but the dimension has about 6,000
+        code, out, err = run_cli(capsys, "flag", "B1" + "0" * 3000, "--mark", "1" + "0" * 2999)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot print the result: it has an integer of more than 4300 digits\n"
+
 
 class TestDim:
     def test_g2_seven_dim_rep(self, capsys):
@@ -275,6 +282,13 @@ class TestCheck:
         assert code == 0
         assert f"c1_Z: {2 * 10**30}\n" in out
         assert "verdict: Unstable\n" in out
+
+    def test_slope_past_int_digit_limit(self, capsys):
+        # n has 2,201 digits and the denominator of mu_Theta more than 4,300
+        code, out, err = run_cli(capsys, "check", "Bn:n=1" + "0" * 2200)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot print the result: it has an integer of more than 4300 digits\n"
 
     @pytest.mark.parametrize("triple_id", ["Bn:n=--5", "Bn:n=\u00b2"])
     def test_bad_parameter(self, capsys, triple_id):

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoorbit.flagvar import (
-    FlagInvariants,
-    ParabolicMarking,
-    _run_data,
-    anticanonical_weight,
-    fano_index,
-    flag_dimension,
-    flag_invariants,
-    nilradical_roots,
-)
+from twoorbit.flagvar import FlagInvariants, ParabolicMarking, _run_data, flag_invariants
 from twoorbit.rootsys import (
     DynkinType,
     SimpleFactor,
@@ -22,6 +13,7 @@ from twoorbit.rootsys import (
     closure_from_cartan,
     factor_cartan,
 )
+from oracles import anticanonical_weight, fano_index, flag_dimension, nilradical_roots
 from strategies import dynkin_products
 
 

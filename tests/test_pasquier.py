@@ -5,7 +5,6 @@ import pytest
 import sympy
 
 from twoorbit import fixtures, pasquier
-from twoorbit.flagvar import flag_dimension
 from twoorbit.pasquier import (
     Family,
     TripleSpec,
@@ -17,6 +16,7 @@ from twoorbit.pasquier import (
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, build_root_system
+from oracles import flag_dimension
 
 
 class TestEnumeration:

@@ -13,12 +13,15 @@ from twoorbit.rootsys import (
     UnsupportedTypeError,
     Weight,
     build_root_system,
-    coroot_pairing,
-    rho,
-    root_to_weight,
     weyl_dim,
 )
-from oracles import freudenthal_dim, reflection_closure_positive_roots
+from oracles import (
+    coroot_pairing,
+    freudenthal_dim,
+    reflection_closure_positive_roots,
+    rho,
+    root_to_weight,
+)
 from strategies import dynkin_products
 
 
@@ -111,7 +114,7 @@ def test_symmetrized_cartan_symmetric_positive_definite(spec):
 
 
 def _det(mat):
-    mat = [row[:] for row in mat]
+    mat = [[Fraction(x) for x in row] for row in mat]
     n = len(mat)
     det = Fraction(1)
     for col in range(n):
@@ -126,6 +129,23 @@ def _det(mat):
             f = mat[r][col] / mat[col][col]
             mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
     return det
+
+
+# d_i is 1 on type A and on short nodes and |a[short][long]| on long ones, per factor
+@pytest.mark.parametrize(
+    "spec,symmetrizer",
+    [
+        ("A3", (1, 1, 1)),
+        ("B3", (2, 2, 1)),
+        ("C3", (1, 1, 2)),
+        ("F4", (2, 2, 1, 1)),
+        ("G2", (3, 1)),
+        ("A1xG2", (1, 3, 1)),
+        ("B2xG2", (2, 1, 3, 1)),
+    ],
+)
+def test_symmetrizer_is_integer_per_factor(spec, symmetrizer):
+    assert rs_of(spec).symmetrizer == symmetrizer
 
 
 @pytest.mark.parametrize("spec", ["A2", "B3", "C3", "F4", "G2", "A1xG2"])
@@ -270,7 +290,7 @@ class TestWeylDim:
 def test_no_floats_anywhere():
     rs = rs_of("F4")
     for val in rs.symmetrizer:
-        assert isinstance(val, Fraction)
+        assert type(val) is int
     pairing = coroot_pairing(rs, rho(rs), rs.positive_roots[-1])
     assert isinstance(pairing, Fraction)
     assert isinstance(weyl_dim(rs, Weight((1, 0, 0, 0))), int)
