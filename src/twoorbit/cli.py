@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
+from operator import itemgetter
 
 from . import fixtures
 from .flagvar import ParabolicMarking, flag_invariants
@@ -24,11 +26,11 @@ from .pasquier import (
 )
 from .rootsys import (
     DynkinType,
-    UnsupportedTypeError,
     Weight,
     build_root_system,
     check_highest_weight,
     node_label,
+    parse_decimal,
     weight_label,
     weyl_dim,
 )
@@ -59,15 +61,16 @@ def _printable():
         ) from exc
 
 
-def _parse_type(spec: str) -> DynkinType:
+def _usage(call, arg):
+    """call(arg), reporting the ValueError of bad input as a usage error."""
     try:
-        return DynkinType.parse(spec)
-    except (UnsupportedTypeError, ValueError) as exc:
+        return call(arg)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _enumerable_type(spec: str) -> DynkinType:
-    dynkin = _parse_type(spec)
+    dynkin = _usage(DynkinType.parse, spec)
     if dynkin.rank > MAX_ENUMERATION_RANK:
         raise UsageError(f"{dynkin} has rank {dynkin.rank}, above the limit of {MAX_ENUMERATION_RANK}")
     return dynkin
@@ -80,11 +83,8 @@ def _parse_weight(dynkin: DynkinType, text: str) -> Weight:
         raise UsageError(f"cannot parse weight {text!r}: coefficients must be decimal integers")
     if len(tokens) != dynkin.rank:
         raise UsageError(f"weight needs {dynkin.rank} coefficients, got {len(tokens)}")
-    weight = Weight(tuple(int(token) for token in tokens))
-    try:
-        check_highest_weight(weight)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    weight = Weight(tuple(_usage(parse_decimal, token) for token in tokens))
+    _usage(check_highest_weight, weight)
     return weight
 
 
@@ -102,13 +102,14 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
                 raise UsageError(
                     f"node {token!r}: product types need factor-qualified nodes like 1.1"
                 )
-            factor_pos = int(factor_text)
+            factor_pos = _usage(parse_decimal, factor_text)
         if not 1 <= factor_pos <= len(dynkin.factors):
             raise UsageError(f"node {token!r}: factor out of range 1..{len(dynkin.factors)}")
         factor = dynkin.factors[factor_pos - 1]
-        if not node_text.isdecimal() or not 1 <= int(node_text) <= factor.rank:
+        node = _usage(parse_decimal, node_text) if node_text.isdecimal() else 0
+        if not 1 <= node <= factor.rank:
             raise UsageError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
-        index = offsets[factor_pos - 1] + int(node_text) - 1
+        index = offsets[factor_pos - 1] + node - 1
         if index in indices:
             raise UsageError(f"node {token!r} is marked twice")
         indices.append(index)
@@ -131,7 +132,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    dynkin = _parse_type(args.type)
+    dynkin = _usage(DynkinType.parse, args.type)
     marking = _parse_nodes(dynkin, args.mark)
     inv = flag_invariants(dynkin, marking)
     with _printable():
@@ -151,12 +152,11 @@ def cmd_flag(args) -> int:
 def cmd_dim(args) -> int:
     dynkin = _enumerable_type(args.type)
     weight = _parse_weight(dynkin, args.weight)
-    print(weyl_dim(build_root_system(dynkin), weight))
+    dim = weyl_dim(build_root_system(dynkin), weight)
+    with _printable():
+        line = str(dim)
+    print(line)
     return 0
-
-
-def _records(max_n: int) -> list[dict]:
-    return [report_record(stability_verdict(t)) for t in enumerate_triples(max_n)]
 
 
 def _render_value(v) -> str:
@@ -168,35 +168,30 @@ def cmd_table(args) -> int:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     if args.format not in FORMATS:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
-    records = _records(args.max_n)
+    records = [report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n)]
     if args.format == "json":
         print(json.dumps(records, indent=2))
-    elif args.format == "csv":
-        print(",".join(RECORD_FIELDS))
-        for rec in records:
-            print(",".join(_render_value(rec[f]) for f in RECORD_FIELDS))
-    else:
-        cells = [[_render_value(rec[f]) for f in RECORD_FIELDS] for rec in records]
-        widths = [
-            max(len(name), *(row[i] and len(row[i]) or 0 for row in cells))
-            for i, name in enumerate(RECORD_FIELDS)
-        ]
-        print("| " + " | ".join(n.ljust(w) for n, w in zip(RECORD_FIELDS, widths)) + " |")
-        print("|-" + "-|-".join("-" * w for w in widths) + "-|")
-        for row in cells:
-            print("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        return 0
+    # csv prints the rows as they are rendered; md needs them all for the column widths
+    rows = itertools.chain([RECORD_FIELDS], ([_render_value(v) for v in rec.values()] for rec in records))
+    if args.format == "csv":
+        for row in rows:
+            print(",".join(row))
+        return 0
+    rows = list(rows)
+    widths = [max(map(len, map(itemgetter(i), rows))) for i in range(len(RECORD_FIELDS))]
+    for i, row in enumerate(rows):
+        print("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        if i == 0:
+            print("|-" + "-|-".join("-" * w for w in widths) + "-|")
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        triple = parse_triple_id(args.triple_id)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report = stability_verdict(triple)
+    report = stability_verdict(_usage(parse_triple_id, args.triple_id))
     with _printable():
         rec = report_record(report)
-        lines = [f"{key}: {_render_value(rec[key])}" for key in RECORD_FIELDS]
+        lines = [f"{key}: {_render_value(value)}" for key, value in rec.items()]
     print("\n".join(lines))
     return 0
 
@@ -238,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="full catalog table with slopes and verdicts")
     p.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p.add_argument("--format", default="md", choices=None)
+    p.add_argument("--format", default="md")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("check", help="report for a single triple")

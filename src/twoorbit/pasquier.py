@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flagvar import ParabolicMarking, flag_invariants
-from .rootsys import DynkinType, weight_label
+from .rootsys import DynkinType, parse_decimal, weight_label
 
 
 class Family(enum.Enum):
@@ -57,17 +57,10 @@ class TripleSpec:
         elif self.n is not None or self.k is not None:
             raise ValueError(f"family {self.family.value} takes no parameters")
 
-    @property
-    def dynkin(self) -> DynkinType:
-        return DynkinType.parse(_FAMILY_TABLE[self.family](self.n, self.k)[0])
-
-    @property
-    def marking_y(self) -> ParabolicMarking:
-        return ParabolicMarking.of(*_FAMILY_TABLE[self.family](self.n, self.k)[1])
-
-    @property
-    def marking_z(self) -> ParabolicMarking:
-        return ParabolicMarking.of(*_FAMILY_TABLE[self.family](self.n, self.k)[2])
+    def layout(self) -> tuple[DynkinType, ParabolicMarking, ParabolicMarking]:
+        """The Dynkin type and the Y and Z markings, from one `_FAMILY_TABLE` lookup."""
+        spec, y, z = _FAMILY_TABLE[self.family](self.n, self.k)
+        return DynkinType.parse(spec), ParabolicMarking.of(*y), ParabolicMarking.of(*z)
 
     @property
     def triple_id(self) -> str:
@@ -91,7 +84,7 @@ def parse_triple_id(text: str) -> TripleSpec:
             raise ValueError(f"bad triple parameter {p!r} in {text!r}")
         if key in kwargs:
             raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
-        kwargs[key] = int(val)
+        kwargs[key] = parse_decimal(val)
     for fam in Family:
         if fam.value.lower() == head.lower():
             return TripleSpec(fam, **kwargs)
@@ -169,7 +162,7 @@ _PINNED = {
 
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
-    dynkin, m_y, m_z = t.dynkin, t.marking_y, t.marking_z
+    dynkin, m_y, m_z = t.layout()
     y, z = flag_invariants(dynkin, m_y), flag_invariants(dynkin, m_z)
     dim_x = flag_invariants(dynkin, m_y.union(m_z)).dimension + 1
     # blow-up canonical formula applied to the drum contraction, unless pinned
@@ -219,7 +212,7 @@ def report_record(r: StabilityReport) -> dict:
     c1_z = v.c1_z_scalar()
     return dict(zip(RECORD_FIELDS, (
         t.triple_id, t.family.value, t.n, t.k,
-        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(t.dynkin, v.c1_z),
+        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(t.layout()[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
         f.rank_ey, f.c1_ey, f.rank_f, f.c1_f,
         f"{r.mu_f.numerator}/{r.mu_f.denominator}",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,6 +27,16 @@ class UnsupportedTypeError(ValueError):
 # minimal rank per supported series; F and G also have a fixed rank
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "F": 4, "G": 2}
 _FIXED_RANK = {"F": 4, "G": 2}
+
+
+def parse_decimal(text: str) -> int:
+    """int() of a decimal string, refusing one past Python's int-to-str digit limit by name."""
+    digits, limit = len(text.removeprefix("-")), sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(
+            f"cannot read the integer {text[:10]}...: it has {digits} digits, more than the limit of {limit}"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,7 @@ class DynkinType:
             token = token.strip()
             if len(token) < 2 or not token[0].isalpha() or not token[1:].isdecimal():
                 raise ValueError(f"cannot parse factor {token!r} in type spec {spec!r}")
-            factors.append(SimpleFactor(token[0].upper(), int(token[1:])))
+            factors.append(SimpleFactor(token[0].upper(), parse_decimal(token[1:])))
         return cls(tuple(factors))
 
     def __str__(self):
@@ -151,10 +162,7 @@ def factor_cartan(f: SimpleFactor) -> list[list[int]]:
     n = f.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n - 1):
-        a[i][i + 1] = a[i + 1][i] = -1
-    if f.series in _BOND:
-        short, long_, entry = _BOND[f.series](n)
-        a[short][long_] = entry
+        a[i][i + 1], a[i + 1][i] = chain_entry(f, i, i + 1), chain_entry(f, i + 1, i)
     return a
 
 

@@ -94,16 +94,18 @@ def test_criterion_4_exceptional_case_pins():
     v4, fo4 = variety_invariants(f4), stability_verdict(f4).foliation
     assert (v4.dim_x, v4.r_x, fo4.rank_f, fo4.c1_f) == (23, 8, 8, 0)
     assert v4.dim_x - v4.dim_y == 8
-    rs = build_root_system(f4.dynkin)
-    pair = f4.marking_y.union(f4.marking_z)
+    dynkin, m_y, m_z = f4.layout()
+    rs = build_root_system(dynkin)
+    pair = m_y.union(m_z)
     assert anticanonical_weight(rs, pair) == Weight((3, 0, 5, 0))
 
     ag = TripleSpec(Family.PAS_A1G2)
     vg, fog = variety_invariants(ag), stability_verdict(ag).foliation
     assert (vg.dim_x, vg.r_x, fog.rank_f, fog.c1_f) == (8, 6, 3, 0)
     assert vg.dim_x - vg.dim_y == 3
-    rs = build_root_system(ag.dynkin)
-    pair = ag.marking_y.union(ag.marking_z)
+    dynkin, m_y, m_z = ag.layout()
+    rs = build_root_system(dynkin)
+    pair = m_y.union(m_z)
     assert anticanonical_weight(rs, pair) == Weight((2, 2, 2))
     _report("4", "pins (23,8,8,0) and (8,6,3,0) plus both consistency guards")
 

@@ -19,6 +19,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# an integer of 5,001 digits, past Python's default int/str limit of 4,300, and
+# the one error line each command gives for it
+HUGE = "1" + "0" * 5000
+HUGE_ERROR = "error: cannot read the integer 1000000000...: it has 5001 digits, more than the limit of 4300\n"
+UNPRINTABLE_ERROR = "error: cannot print the result: it has an integer of more than 4300 digits\n"
+
+
 class TestRoots:
     def test_g2(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "G2")
@@ -48,6 +55,9 @@ class TestRoots:
         code, _, err = run_cli(capsys, "roots", "B\u00b2")
         assert code == 2
         assert "cannot parse factor" in err
+
+    def test_rank_past_int_digit_limit(self, capsys):
+        assert run_cli(capsys, "roots", "A" + HUGE) == (2, "", HUGE_ERROR)
 
 
 class TestRankCap:
@@ -171,7 +181,15 @@ class TestFlag:
         code, out, err = run_cli(capsys, "flag", "B1" + "0" * 3000, "--mark", "1" + "0" * 2999)
         assert code == 2
         assert out == ""
-        assert err == "error: cannot print the result: it has an integer of more than 4300 digits\n"
+        assert err == UNPRINTABLE_ERROR
+
+    @pytest.mark.parametrize(
+        "spec,mark",
+        [("B3", HUGE), ("A1xG2", HUGE + ".1"), ("A1xG2", "1." + HUGE), ("B" + HUGE, "1")],
+        ids=["node", "factor", "factor-node", "rank"],
+    )
+    def test_input_past_int_digit_limit(self, capsys, spec, mark):
+        assert run_cli(capsys, "flag", spec, "--mark", mark) == (2, "", HUGE_ERROR)
 
 
 class TestDim:
@@ -200,15 +218,32 @@ class TestDim:
         assert out == ""
         assert "highest weight must be dominant" in err
 
+    @pytest.mark.parametrize("spec,weight", [("A1", HUGE), ("A2", "1," + HUGE)], ids=["A1", "A2"])
+    def test_weight_past_int_digit_limit(self, capsys, spec, weight):
+        assert run_cli(capsys, "dim", spec, weight) == (2, "", HUGE_ERROR)
 
-# sha256 of the stdout of commands that enumerate roots, so that a change of
-# their order or format fails here
+    @pytest.mark.parametrize(
+        "spec,weight", [("A1", "9" * 4300), ("A2", ",".join(["9" * 2500] * 2))], ids=["A1", "A2"]
+    )
+    def test_dimension_past_int_digit_limit(self, capsys, spec, weight):
+        # each coefficient is readable, but the dimension has more than 4,300 digits
+        assert run_cli(capsys, "dim", spec, weight) == (2, "", UNPRINTABLE_ERROR)
+
+
+# sha256 of the stdout of the commands that enumerate roots, of the catalog
+# in each format and of verify and check, so that a change of order or
+# format fails here
 PINNED_STDOUT = {
     ("roots", "G2"): "4e1cefd6fc6fcd8ac83e75daf9d469ae32627cfff533c3f15a40daefd2b46e44",
     ("roots", "F4"): "d45be0caecc2b7f1511ce809ed6c61d1569fe2f2b160f968f8d29d9c602b6874",
     ("roots", "B3xC2"): "85d5e0743d10d461f6db91a6531e3edb8f9209c42922c33633f16a853cfe13d6",
     ("roots", "C12"): "a8664e134a1d252f62c8195a13de119bf71bc46b405d22fbe0f45908042ff47c",
     ("dim", "F4", "1,1,1,1"): "1c717f8a059be27832853ed4d506f3c7ab305023703aefda2b2272606e13ee01",
+    ("table", "--max-n", "12"): "be5acbf504dcc470bd1dce20f46da729070eeac5fdfef486d53ee717f852df7a",
+    ("table", "--max-n", "12", "--format", "csv"): "af38dd68919c1158f2c1e1ca9aa98c664c5136014074dc2127b8a8eae444bb63",
+    ("table", "--max-n", "12", "--format", "json"): "b2f7240b34057d313e2a68505fa327760c7863d56fa984c7aaea5babc1022aa4",
+    ("verify", "--max-n", "12"): "847dae72c9cfa943480e49a78d56064da0ed7731dc50b70be3e643fca2719dd5",
+    ("check", "PasA1G2"): "bd1c51753ea4e01bb74b43e72ad2488f8db91af118568b648966701c1cef44e9",
 }
 
 
@@ -217,6 +252,21 @@ def test_enumeration_stdout_is_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+# the benchmark's correctness gate: each command's stdout, by size and sha256
+BENCH_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", list(BENCH_REFERENCES))
+def test_benchmark_references_replay(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    data = out.encode()
+    expected = BENCH_REFERENCES[command]
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (expected["bytes"], expected["sha256"])
 
 
 class TestTable:
@@ -288,7 +338,10 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "Bn:n=1" + "0" * 2200)
         assert code == 2
         assert out == ""
-        assert err == "error: cannot print the result: it has an integer of more than 4300 digits\n"
+        assert err == UNPRINTABLE_ERROR
+
+    def test_parameter_past_int_digit_limit(self, capsys):
+        assert run_cli(capsys, "check", "Bn:n=" + HUGE) == (2, "", HUGE_ERROR)
 
     @pytest.mark.parametrize("triple_id", ["Bn:n=--5", "Bn:n=\u00b2"])
     def test_bad_parameter(self, capsys, triple_id):

@@ -118,8 +118,8 @@ class TestVarietyInvariants:
     def test_open_orbit_dimension_route(self, t):
         # dim X is one more than the flag variety of the joint marking
         v = variety_invariants(t)
-        rs = build_root_system(t.dynkin)
-        assert v.dim_x == flag_dimension(rs, t.marking_y.union(t.marking_z)) + 1
+        dynkin, m_y, m_z = t.layout()
+        assert v.dim_x == flag_dimension(build_root_system(dynkin), m_y.union(m_z)) + 1
         if t.is_horospherical():
             f = stability_verdict(t).foliation
             assert v.dim_x == v.dim_y + f.rank_ey
