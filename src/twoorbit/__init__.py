@@ -2,24 +2,20 @@
 
 from .rootsys import (
     DynkinType,
-    Root,
     RootSystem,
     SimpleFactor,
     UnsupportedTypeError,
-    Weight,
     build_root_system,
     weyl_dim,
 )
 from .flagvar import FlagInvariants, ParabolicMarking, flag_invariants
 from .pasquier import (
     Family,
-    FoliationInvariants,
     StabilityReport,
     TripleSpec,
     VarietyInvariants,
     Verdict,
     enumerate_triples,
-    foliation_invariants,
     parse_triple_id,
     report_record,
     stability_verdict,
@@ -27,12 +23,12 @@ from .pasquier import (
 )
 
 __all__ = [
-    "DynkinType", "Root", "RootSystem", "SimpleFactor", "UnsupportedTypeError", "Weight",
+    "DynkinType", "RootSystem", "SimpleFactor", "UnsupportedTypeError",
     "build_root_system", "weyl_dim",
     "FlagInvariants", "ParabolicMarking", "flag_invariants",
-    "Family", "FoliationInvariants", "StabilityReport", "TripleSpec",
+    "Family", "StabilityReport", "TripleSpec",
     "VarietyInvariants", "Verdict", "enumerate_triples",
-    "foliation_invariants", "parse_triple_id", "report_record", "stability_verdict",
+    "parse_triple_id", "report_record", "stability_verdict",
     "variety_invariants",
 ]
 

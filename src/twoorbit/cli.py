@@ -26,10 +26,9 @@ from .pasquier import (
 )
 from .rootsys import (
     DynkinType,
-    Weight,
     build_root_system,
     check_highest_weight,
-    node_label,
+    node_labels,
     parse_decimal,
     weight_label,
     weyl_dim,
@@ -76,14 +75,14 @@ def _enumerable_type(spec: str) -> DynkinType:
     return dynkin
 
 
-def _parse_weight(dynkin: DynkinType, text: str) -> Weight:
+def _parse_weight(dynkin: DynkinType, text: str) -> tuple[int, ...]:
     """Comma-separated decimal coefficients, one per node, of a dominant weight."""
     tokens = [token.strip() for token in text.split(",")]
     if not all(token.removeprefix("-").isdecimal() for token in tokens):
         raise UsageError(f"cannot parse weight {text!r}: coefficients must be decimal integers")
     if len(tokens) != dynkin.rank:
         raise UsageError(f"weight needs {dynkin.rank} coefficients, got {len(tokens)}")
-    weight = Weight(tuple(_usage(parse_decimal, token) for token in tokens))
+    weight = tuple(_usage(parse_decimal, token) for token in tokens)
     _usage(check_highest_weight, weight)
     return weight
 
@@ -91,7 +90,7 @@ def _parse_weight(dynkin: DynkinType, text: str) -> Weight:
 def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
     """Node list grammar: 1-based within a factor, "f.i" for products."""
     offsets = dynkin.factor_offsets()
-    indices = []
+    indices = set()
     for token in text.split(","):
         token = token.strip()
         if len(dynkin.factors) == 1:
@@ -112,7 +111,7 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
         index = offsets[factor_pos - 1] + node - 1
         if index in indices:
             raise UsageError(f"node {token!r} is marked twice")
-        indices.append(index)
+        indices.add(index)
     if not indices:
         raise UsageError("empty node list")
     return ParabolicMarking(frozenset(indices))
@@ -126,7 +125,7 @@ def cmd_roots(args) -> int:
         print("  [" + " ".join(f"{v:3d}" for v in row) + "]")
     print("positive roots (simple-root coordinates):")
     for alpha in rs.positive_roots:
-        print("  (" + ",".join(str(c) for c in alpha.coeffs) + ")")
+        print("  (" + ",".join(map(str, alpha)) + ")")
     print(f"count: {len(rs.positive_roots)}")
     return 0
 
@@ -136,7 +135,7 @@ def cmd_flag(args) -> int:
     marking = _parse_nodes(dynkin, args.mark)
     inv = flag_invariants(dynkin, marking)
     with _printable():
-        marked = ",".join(node_label(dynkin, i) for i in sorted(marking.marked))
+        marked = ",".join(node_labels(dynkin, sorted(marking.marked)))
         lines = [
             f"type: {dynkin}  marked: {marked}",
             f"dimension: {inv.dimension}",
@@ -152,9 +151,9 @@ def cmd_flag(args) -> int:
 def cmd_dim(args) -> int:
     dynkin = _enumerable_type(args.type)
     weight = _parse_weight(dynkin, args.weight)
-    dim = weyl_dim(build_root_system(dynkin), weight)
+    rs = build_root_system(dynkin)
     with _printable():
-        line = str(dim)
+        line = str(weyl_dim(rs, weight))
     print(line)
     return 0
 
@@ -168,9 +167,9 @@ def cmd_table(args) -> int:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     if args.format not in FORMATS:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
-    records = [report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n)]
+    records = (report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n))
     if args.format == "json":
-        print(json.dumps(records, indent=2))
+        print(json.dumps(list(records), indent=2))
         return 0
     # csv prints the rows as they are rendered; md needs them all for the column widths
     rows = itertools.chain([RECORD_FIELDS], ([_render_value(v) for v in rec.values()] for rec in records))

@@ -119,7 +119,7 @@ def _check_triple(t: TripleSpec) -> list[Mismatch]:
             found.append(Mismatch(fixture, t.triple_id, column, expected, actual))
 
     r = stability_verdict(t)
-    v, f = r.variety, r.foliation
+    v = r.variety
 
     if t.is_horospherical():
         table = BL_H_NUM[t.family]
@@ -135,12 +135,12 @@ def _check_triple(t: TripleSpec) -> list[Mismatch]:
             expect("bl_h_num", column, formula(t.n, t.k), actuals[column])
 
         rank_ey, c1_ey = CF_NUM[t.family](t.n, t.k)
-        expect("cf_num", "rank_EY", rank_ey, f.rank_ey)
-        expect("cf_num", "c1_EY", c1_ey, f.c1_ey)
+        expect("cf_num", "rank_EY", rank_ey, v.rank_ey)
+        expect("cf_num", "c1_EY", c1_ey, v.c1_ey)
 
     rank_f, c1_f = CF[t.family](t.n, t.k)
-    expect("cf", "rank_F", rank_f, f.rank_f)
-    expect("cf", "c1_F", c1_f, f.c1_f)
+    expect("cf", "rank_F", rank_f, v.rank_f)
+    expect("cf", "c1_F", c1_f, v.c1_f)
 
     mu_f, mu_theta, unstable = STAB[t.family](t.n, t.k)
     expect("stab", "mu_F", mu_f, r.mu_f)

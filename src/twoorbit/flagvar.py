@@ -9,6 +9,7 @@ enumerating a root.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .rootsys import DynkinType, chain_entry
@@ -88,9 +89,10 @@ def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
     """Dimension and -K of G/P from the diagram alone, in one walk over the marked nodes."""
     _check(dynkin.rank, m)
     marked = sorted(m.marked)
-    dimension, anti, offset = 0, {}, 0
+    dimension, anti, offset, start = 0, {}, 0, 0
     for f in dynkin.factors:
-        local = [i - offset for i in marked if offset <= i < offset + f.rank]
+        end = bisect.bisect_left(marked, offset + f.rank, start)
+        local = [i - offset for i in marked[start:end]]
         dimension += _run_data(f.series, f.rank, 0, f.rank - 1)[0]
         for i in local:
             anti[offset + i] = 2
@@ -101,7 +103,7 @@ def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
                 anti[offset + lo - 1] -= first * chain_entry(f, lo - 1, lo)
             if hi < f.rank - 1:
                 anti[offset + hi + 1] -= last * chain_entry(f, hi + 1, hi)
-        offset += f.rank
+        offset, start = offset + f.rank, end
     return FlagInvariants(
         dimension=dimension,
         picard_rank=len(marked),

@@ -117,6 +117,10 @@ class VarietyInvariants:
     c1_y: int
     c1_z: dict[int, int]  # -K_Z on its marked nodes; Picard rank 2 for Pas_{A1xG2}
     r_x: int
+    rank_f: int  # the canonical foliation F
+    c1_f: int  # coefficient on H_X
+    rank_ey: int | None  # None for the two exceptional varieties (no E_Y bundle)
+    c1_ey: int | None
 
     @property
     def codim_z(self) -> int:
@@ -125,14 +129,6 @@ class VarietyInvariants:
     def c1_z_scalar(self) -> int | None:
         """Collapse c1_Z to its one coefficient when Z has Picard rank 1."""
         return next(iter(self.c1_z.values())) if len(self.c1_z) == 1 else None
-
-
-@dataclass(frozen=True)
-class FoliationInvariants:
-    rank_f: int
-    c1_f: int  # coefficient on H_X
-    rank_ey: int | None  # None for the two exceptional varieties (no E_Y bundle)
-    c1_ey: int | None
 
 
 class Verdict(enum.Enum):
@@ -145,19 +141,18 @@ class Verdict(enum.Enum):
 class StabilityReport:
     triple: TripleSpec
     variety: VarietyInvariants
-    foliation: FoliationInvariants
     mu_f: Fraction
     mu_theta: Fraction
     verdict: Verdict
 
 
-# The two non-horospherical varieties, family -> (r_X, foliation).  The
+# The two non-horospherical varieties, family -> (r_X, rank F, c1 F).  The
 # blow-up canonical formula for r_X and the E_Y bundle apply only to the
 # horospherical drums, so these values are pinned.  test_criterion_4 guards
 # them: rank F = dim X - dim Y, that is 23 - 15 for PasF4 and 8 - 5 for PasA1G2.
 _PINNED = {
-    Family.PAS_F4: (8, FoliationInvariants(rank_f=8, c1_f=0, rank_ey=None, c1_ey=None)),
-    Family.PAS_A1G2: (6, FoliationInvariants(rank_f=3, c1_f=0, rank_ey=None, c1_ey=None)),
+    Family.PAS_F4: (8, 8, 0),
+    Family.PAS_A1G2: (6, 3, 0),
 }
 
 
@@ -165,27 +160,24 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, m_y, m_z = t.layout()
     y, z = flag_invariants(dynkin, m_y), flag_invariants(dynkin, m_z)
     dim_x = flag_invariants(dynkin, m_y.union(m_z)).dimension + 1
-    # blow-up canonical formula applied to the drum contraction, unless pinned
-    r_x = _PINNED[t.family][0] if t.family in _PINNED else 2 * dim_x - y.dimension - z.dimension
-    return VarietyInvariants(
-        dim_y=y.dimension, dim_z=z.dimension, dim_x=dim_x, c1_y=y.index, c1_z=z.anticanonical, r_x=r_x
-    )
-
-
-def foliation_invariants(t: TripleSpec, v: VarietyInvariants) -> FoliationInvariants:
-    """The canonical foliation of `t`, given its variety invariants `v`."""
+    rank_ey = c1_ey = None
     if t.family in _PINNED:
-        return _PINNED[t.family][1]
-    rank_ey = v.dim_x - v.dim_y
-    c1_ey = v.c1_y - (v.dim_x - v.dim_z)
-    return FoliationInvariants(rank_f=rank_ey, c1_f=rank_ey - c1_ey, rank_ey=rank_ey, c1_ey=c1_ey)
+        r_x, rank_f, c1_f = _PINNED[t.family]
+    else:
+        # blow-up canonical formula applied to the drum contraction
+        r_x = 2 * dim_x - y.dimension - z.dimension
+        rank_ey, c1_ey = dim_x - y.dimension, y.index - (dim_x - z.dimension)
+        rank_f, c1_f = rank_ey, rank_ey - c1_ey
+    return VarietyInvariants(
+        dim_y=y.dimension, dim_z=z.dimension, dim_x=dim_x, c1_y=y.index, c1_z=z.anticanonical, r_x=r_x,
+        rank_f=rank_f, c1_f=c1_f, rank_ey=rank_ey, c1_ey=c1_ey,
+    )
 
 
 def stability_verdict(t: TripleSpec) -> StabilityReport:
     """Exact slope comparison of the canonical foliation with the tangent bundle."""
     v = variety_invariants(t)
-    f = foliation_invariants(t, v)
-    mu_f = Fraction(f.c1_f, f.rank_f)
+    mu_f = Fraction(v.c1_f, v.rank_f)
     mu_theta = Fraction(v.r_x, v.dim_x)
     if mu_f > mu_theta:
         verdict = Verdict.UNSTABLE
@@ -193,7 +185,7 @@ def stability_verdict(t: TripleSpec) -> StabilityReport:
         verdict = Verdict.STRICTLY_SEMISTABLE_BOUNDARY
     else:
         verdict = Verdict.STABLE
-    return StabilityReport(triple=t, variety=v, foliation=f, mu_f=mu_f, mu_theta=mu_theta, verdict=verdict)
+    return StabilityReport(triple=t, variety=v, mu_f=mu_f, mu_theta=mu_theta, verdict=verdict)
 
 
 # --- report serialization ---------------------------------------------------
@@ -208,13 +200,13 @@ RECORD_FIELDS = (
 
 def report_record(r: StabilityReport) -> dict:
     """Flatten a StabilityReport into one record keyed by RECORD_FIELDS, in that order."""
-    t, v, f = r.triple, r.variety, r.foliation
+    t, v = r.triple, r.variety
     c1_z = v.c1_z_scalar()
     return dict(zip(RECORD_FIELDS, (
         t.triple_id, t.family.value, t.n, t.k,
         v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(t.layout()[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
-        f.rank_ey, f.c1_ey, f.rank_f, f.c1_f,
+        v.rank_ey, v.c1_ey, v.rank_f, v.c1_f,
         f"{r.mu_f.numerator}/{r.mu_f.denominator}",
         f"{r.mu_theta.numerator}/{r.mu_theta.denominator}",
         r.verdict.value,

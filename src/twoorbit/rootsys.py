@@ -13,11 +13,12 @@ Global node indices are 0-based and concatenate the factors in order.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class UnsupportedTypeError(ValueError):
@@ -93,47 +94,17 @@ class DynkinType:
         return "x".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root in simple-root coordinates (integers)."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates (integers)."""
-
-    coeffs: tuple[int, ...]
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(int(c) == c for c in self.coeffs)
-
-
-def node_label(dynkin: DynkinType, i: int) -> str:
-    """Command-line label of global node i, 1-based: "i" for one factor, "f.i" for products."""
+def node_labels(dynkin: DynkinType, nodes: Iterable[int]) -> list[str]:
+    """Command-line labels of global nodes, 1-based: "i" for one factor, "f.i" for products."""
     if len(dynkin.factors) == 1:
-        return str(i + 1)
-    for pos, f in enumerate(dynkin.factors, start=1):
-        if i < f.rank:
-            return f"{pos}.{i + 1}"
-        i -= f.rank
-    raise ValueError(f"node out of range for {dynkin}")
+        return [str(i + 1) for i in nodes]
+    offsets = dynkin.factor_offsets()
+    return [f"{p}.{i - offsets[p - 1] + 1}" for i in nodes for p in [bisect.bisect_right(offsets, i)]]
 
 
 def weight_label(dynkin: DynkinType, weight: dict[int, int]) -> str:
     """Render a sparse weight {node: coefficient} like "3w1+5w3", or "2w1.1+5w2.2" for products."""
-    terms = [f"{c}w{node_label(dynkin, i)}" for i, c in weight.items() if c]
+    terms = [f"{c}w{label}" for c, label in zip(weight.values(), node_labels(dynkin, weight)) if c]
     return "+".join(terms) if terms else "0"
 
 
@@ -183,7 +154,7 @@ class RootSystem:
     dynkin: DynkinType
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
-    positive_roots: tuple[Root, ...] = field(repr=False)
+    positive_roots: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -240,38 +211,44 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
         symmetrizer.extend(_factor_symmetrizer(f))
         off += f.rank
 
-    roots = tuple(Root(m) for m in closure_from_cartan(cartan))
     return RootSystem(
         dynkin=dynkin,
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=tuple(symmetrizer),
-        positive_roots=roots,
+        positive_roots=tuple(closure_from_cartan(cartan)),
     )
 
 
-def check_highest_weight(lam: Weight) -> None:
-    """Raise ValueError unless `lam` is integral and dominant."""
-    if not lam.is_integral():
+def check_highest_weight(lam: Sequence[int]) -> None:
+    """Raise ValueError unless the fundamental-weight coefficients `lam` are integral and dominant."""
+    if not all(int(c) == c for c in lam):
         raise ValueError(f"highest weight must be integral: {lam}")
-    if not lam.is_dominant():
+    if not all(c >= 0 for c in lam):
         raise ValueError(f"highest weight must be dominant: {lam}")
 
 
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
     """Dimension of the irreducible representation with highest weight `lam`.
 
     prod_{alpha>0} <lam+rho, alpha^vee> / <rho, alpha^vee>, evaluated exactly:
     the symmetrizer is integer, so both products are integers and one
-    division ends it.
+    division ends it.  A result past Python's int-to-str digit limit raises
+    ValueError before the products are taken.
     """
-    if len(lam.coeffs) != rs.rank:
-        raise ValueError(f"a weight of {rs.dynkin} needs {rs.rank} coefficients, got {len(lam.coeffs)}")
+    if len(lam) != rs.rank:
+        raise ValueError(f"a weight of {rs.dynkin} needs {rs.rank} coefficients, got {len(lam)}")
     check_highest_weight(lam)
     d = rs.symmetrizer
-    shifted = [(int(c) + 1) * dj for c, dj in zip(lam.coeffs, d)]
-    num = math.prod(sum(map(operator.mul, shifted, alpha.coeffs)) for alpha in rs.positive_roots)
-    den = math.prod(sum(map(operator.mul, d, alpha.coeffs)) for alpha in rs.positive_roots)
-    result, remainder = divmod(num, den)
+    shifted = [(int(c) + 1) * dj for c, dj in zip(lam, d)]
+    nums = [sum(map(operator.mul, shifted, alpha)) for alpha in rs.positive_roots]
+    dens = [sum(map(operator.mul, d, alpha)) for alpha in rs.positive_roots]
+    # each ratio num/den is at least 1 and above 2**(bits(num) - bits(den) - 1),
+    # so the result is at least 2**low
+    low = sum(max(0, a.bit_length() - b.bit_length() - 1) for a, b in zip(nums, dens))
+    limit = sys.get_int_max_str_digits()
+    if limit and low >= (10**limit).bit_length():
+        raise ValueError(f"the dimension has more than {limit} digits")
+    result, remainder = divmod(math.prod(nums), math.prod(dens))
     if remainder or result <= 0:
         raise ArithmeticError(f"Weyl product for {lam} is not a positive integer")
     return result

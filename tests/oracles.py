@@ -14,18 +14,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from twoorbit.flagvar import ParabolicMarking
-from twoorbit.rootsys import Root, RootSystem, Weight
+from twoorbit.rootsys import RootSystem
 
 
 # --- roots and weights -------------------------------------------------------
+# a root is a tuple of simple-root coordinates, a weight a tuple of
+# fundamental-weight coordinates
 
-def is_root(rs: RootSystem, alpha: Root) -> bool:
-    return alpha in rs.positive_roots or -alpha in rs.positive_roots
+def is_root(rs: RootSystem, alpha: tuple[int, ...]) -> bool:
+    return alpha in rs.positive_roots or tuple(-c for c in alpha) in rs.positive_roots
 
 
-def rho(rs: RootSystem) -> Weight:
+def rho(rs: RootSystem) -> tuple[int, ...]:
     """Half the sum of positive roots: the all-ones weight."""
-    return Weight((1,) * rs.rank)
+    return (1,) * rs.rank
 
 
 def root_form(rs: RootSystem, m1: Sequence[int], m2: Sequence[int]) -> Fraction:
@@ -38,32 +40,30 @@ def root_form(rs: RootSystem, m1: Sequence[int], m2: Sequence[int]) -> Fraction:
     return total
 
 
-def root_to_weight(rs: RootSystem, alpha: Root) -> Weight:
+def root_to_weight(rs: RootSystem, m: tuple[int, ...]) -> tuple[int, ...]:
     """Convert simple-root coordinates to the fundamental-weight basis.
 
     Done by pairing against every simple coroot, which stays in integers.
     """
-    m = alpha.coeffs
-    return Weight(tuple(sum(rs.cartan[i][j] * m[j] for j in range(rs.rank)) for i in range(rs.rank)))
+    return tuple(sum(rs.cartan[i][j] * m[j] for j in range(rs.rank)) for i in range(rs.rank))
 
 
-def coroot_pairing(rs: RootSystem, lam: Weight, alpha: Root) -> Fraction:
+def coroot_pairing(rs: RootSystem, lam: Sequence[int], alpha: tuple[int, ...]) -> Fraction:
     """<lam, alpha^vee> = 2(lam, alpha)/(alpha, alpha)."""
     if not is_root(rs, alpha):
         raise ValueError(f"{alpha} is not a root of {rs.dynkin}")
-    m = alpha.coeffs
     d = rs.symmetrizer
-    num = sum(Fraction(c) * d[j] * m[j] for j, c in enumerate(lam.coeffs))
-    return 2 * num / root_form(rs, m, m)
+    num = sum(Fraction(c) * d[j] * alpha[j] for j, c in enumerate(lam))
+    return 2 * num / root_form(rs, alpha, alpha)
 
 
 # --- flag varieties by root enumeration --------------------------------------
 
-def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[Root]:
+def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[tuple[int, ...]]:
     bad = [i for i in m.marked if not 0 <= i < rs.rank]
     if bad:
         raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rs.rank - 1}")
-    return [a for a in rs.positive_roots if any(a.coeffs[i] for i in m.marked)]
+    return [a for a in rs.positive_roots if any(a[i] for i in m.marked)]
 
 
 def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
@@ -71,10 +71,10 @@ def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
     return len(nilradical_roots(rs, m))
 
 
-def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> Weight:
+def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> tuple[int, ...]:
     """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
     nil = nilradical_roots(rs, m)
-    return root_to_weight(rs, Root(tuple(sum(a.coeffs[j] for a in nil) for j in range(rs.rank))))
+    return root_to_weight(rs, tuple(sum(a[j] for a in nil) for j in range(rs.rank)))
 
 
 def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
@@ -82,7 +82,7 @@ def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
     if len(m.marked) != 1:
         raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
     (node,) = m.marked
-    return int(anticanonical_weight(rs, m).coeffs[node])
+    return int(anticanonical_weight(rs, m)[node])
 
 
 # --- reflection closure and Freudenthal --------------------------------------
@@ -131,7 +131,7 @@ def _weight_gram(rs: RootSystem) -> list[list[Fraction]]:
     return [[ainv[j][i] * rs.symmetrizer[j] for j in range(n)] for i in range(n)]
 
 
-def freudenthal_dim(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> int | None:
+def freudenthal_dim(rs: RootSystem, lam: Sequence[int], max_dim: int | None = None) -> int | None:
     """dim of the highest-weight module, summing Freudenthal multiplicities.
 
     With `max_dim` it returns None as soon as the multiplicities found so far
@@ -140,7 +140,7 @@ def freudenthal_dim(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> 
     n = rs.rank
     gram = _weight_gram(rs)
     d = rs.symmetrizer
-    pos = [alpha.coeffs for alpha in rs.positive_roots]
+    pos = rs.positive_roots
     pos_w = [
         tuple(sum(rs.cartan[i][j] * m[j] for j in range(n)) for i in range(n)) for m in pos
     ]
@@ -152,7 +152,7 @@ def freudenthal_dim(rs: RootSystem, lam: Weight, max_dim: int | None = None) -> 
     def weight_dot_root(mu, alpha_root):
         return sum(mu[j] * alpha_root[j] * d[j] for j in range(n))
 
-    top = tuple(int(c) for c in lam.coeffs)
+    top = tuple(int(c) for c in lam)
     top_norm = norm2_shifted(top)
     mult = {top: 1}
     dim = 1

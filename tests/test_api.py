@@ -1,7 +1,11 @@
 import twoorbit
 
-# enumeration-only functions that moved to tests/oracles.py
-REMOVED = ["coroot_pairing", "rho", "root_to_weight", "anticanonical_weight", "fano_index", "flag_dimension"]
+# enumeration-only functions that moved to tests/oracles.py, and the types
+# that only wrapped an integer tuple or a part of VarietyInvariants
+REMOVED = [
+    "coroot_pairing", "rho", "root_to_weight", "anticanonical_weight", "fano_index", "flag_dimension",
+    "Root", "Weight", "FoliationInvariants", "foliation_invariants",
+]
 
 
 def test_every_export_exists():

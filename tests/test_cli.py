@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,18 @@ class TestFlag:
         assert out == ""
         assert err == UNPRINTABLE_ERROR
 
+    def test_wide_product_every_node_marked(self, capsys):
+        # 16,000 factors: labels, the per-factor walk and the repeat check stay linear
+        n = 16000
+        mark = ",".join(f"{i}.1" for i in range(1, n + 1))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "flag", "x".join(["A1"] * n), "--mark", mark)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert f"dimension: {n}\npicard_rank: {n}\n" in out
+        assert "anticanonical: 2w1.1+2w2.1+" in out and out.endswith(f"+2w{n}.1\n")
+        assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"
+
     @pytest.mark.parametrize(
         "spec,mark",
         [("B3", HUGE), ("A1xG2", HUGE + ".1"), ("A1xG2", "1." + HUGE), ("B" + HUGE, "1")],
@@ -217,6 +230,7 @@ class TestDim:
         assert code == 2
         assert out == ""
         assert "highest weight must be dominant" in err
+        assert err == "error: highest weight must be dominant: (-1, 0, 0)\n"
 
     @pytest.mark.parametrize("spec,weight", [("A1", HUGE), ("A2", "1," + HUGE)], ids=["A1", "A2"])
     def test_weight_past_int_digit_limit(self, capsys, spec, weight):
@@ -229,9 +243,21 @@ class TestDim:
         # each coefficient is readable, but the dimension has more than 4,300 digits
         assert run_cli(capsys, "dim", spec, weight) == (2, "", UNPRINTABLE_ERROR)
 
+    def test_dimension_at_int_digit_limit_prints(self, capsys):
+        # the early refusal takes only what cannot print: 10**4299 has 4,300 digits
+        assert run_cli(capsys, "dim", "A1", "9" * 4299) == (0, "1" + "0" * 4299 + "\n", "")
+
+    def test_unprintable_dimension_is_refused_before_the_product(self, capsys, monkeypatch):
+        # 1,600 factors of about 10,000 bits each: the product alone took over a minute
+        def refuse(factors):
+            raise AssertionError("took the Weyl product")
+
+        monkeypatch.setattr(rootsys.math, "prod", refuse)
+        assert run_cli(capsys, "dim", "C40", ",".join(["9" * 3000] * 40)) == (2, "", UNPRINTABLE_ERROR)
+
 
 # sha256 of the stdout of the commands that enumerate roots, of the catalog
-# in each format and of verify and check, so that a change of order or
+# in each format and of verify, check and flag, so that a change of order or
 # format fails here
 PINNED_STDOUT = {
     ("roots", "G2"): "4e1cefd6fc6fcd8ac83e75daf9d469ae32627cfff533c3f15a40daefd2b46e44",
@@ -244,6 +270,15 @@ PINNED_STDOUT = {
     ("table", "--max-n", "12", "--format", "json"): "b2f7240b34057d313e2a68505fa327760c7863d56fa984c7aaea5babc1022aa4",
     ("verify", "--max-n", "12"): "847dae72c9cfa943480e49a78d56064da0ed7731dc50b70be3e643fca2719dd5",
     ("check", "PasA1G2"): "bd1c51753ea4e01bb74b43e72ad2488f8db91af118568b648966701c1cef44e9",
+    ("check", "PasF4"): "b87369a7265f3baa5622fe84c14daf48821bf5723c21ef672065f2863cfba904",
+    ("check", "Bn:n=3"): "d4538ab9a33864e404b2b53c9a734c6315d524f153e3024cc81e56364fe2d47d",
+    ("check", "Bn:n=20000"): "f1468cf7d2a32508ef6eec2b0278d981fc6b4b2c5e472d3b885b0eb0ebe31fab",
+    ("check", "Cn:n=3000:k=1500"): "0e5c8b0dc515abafc4a4c2c988e9c6ac260984f77f5b0fd1505e3d2d5727ad4d",
+    ("check", "F4horo"): "96ca31986ae4716aa43a4435415b45a1ba74242ef88d0198552e02f58823305a",
+    ("check", "G2horo"): "5b25634ffd9831a84017cbe31527b91d293b9024b5519ed08e5fd39745d8ca84",
+    ("check", "B3special"): "342d1b63cdb6e117f30a314c2c01d953681e2c7325a92572c8b193170c3f712f",
+    ("flag", "F4", "--mark", "1,3"): "642c4789f4d5c329f6fb2aa71398ed615ba58e4cd5182d5937ccb7baacacddb9",
+    ("flag", "A1xG2", "--mark", "1.1,2.2"): "c1ea77713fa52b72deb20e40d5abb9e8aa547b4502afdc5d625f8d932f93c488",
 }
 
 

@@ -121,7 +121,7 @@ class TestVarietyInvariants:
         dynkin, m_y, m_z = t.layout()
         assert v.dim_x == flag_dimension(build_root_system(dynkin), m_y.union(m_z)) + 1
         if t.is_horospherical():
-            f = stability_verdict(t).foliation
+            f = stability_verdict(t).variety
             assert v.dim_x == v.dim_y + f.rank_ey
 
 
@@ -142,22 +142,22 @@ def test_fano_degree_symbolic():
 class TestFoliation:
     def test_spinor_rows(self):
         for n in (3, 4, 7):
-            f = stability_verdict(TripleSpec(Family.BN_SPINOR, n=n)).foliation
+            f = stability_verdict(TripleSpec(Family.BN_SPINOR, n=n)).variety
             assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (2, 1, 2, 1)
 
     def test_b3_special_row(self):
-        f = stability_verdict(TripleSpec(Family.B3_SPECIAL)).foliation
+        f = stability_verdict(TripleSpec(Family.B3_SPECIAL)).variety
         assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (4, 2, 4, 2)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (4, 3), (5, 5)])
     def test_symplectic_rows(self, n, k):
-        f = stability_verdict(TripleSpec(Family.CN, n=n, k=k)).foliation
+        f = stability_verdict(TripleSpec(Family.CN, n=n, k=k)).variety
         assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (k, k - 1, k, 1)
 
     def test_exceptional_rows_have_no_bundle_part(self):
-        f4 = stability_verdict(TripleSpec(Family.PAS_F4)).foliation
+        f4 = stability_verdict(TripleSpec(Family.PAS_F4)).variety
         assert (f4.rank_f, f4.c1_f, f4.rank_ey, f4.c1_ey) == (8, 0, None, None)
-        a1g2 = stability_verdict(TripleSpec(Family.PAS_A1G2)).foliation
+        a1g2 = stability_verdict(TripleSpec(Family.PAS_A1G2)).variety
         assert (a1g2.rank_f, a1g2.c1_f, a1g2.rank_ey, a1g2.c1_ey) == (3, 0, None, None)
 
 
