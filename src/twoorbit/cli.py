@@ -158,10 +158,6 @@ def cmd_dim(args) -> int:
     return 0
 
 
-def _render_value(v) -> str:
-    return "" if v is None else str(v)
-
-
 def cmd_table(args) -> int:
     if args.max_n < 3:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
@@ -169,10 +165,18 @@ def cmd_table(args) -> int:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
     records = (report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n))
     if args.format == "json":
-        print(json.dumps(list(records), indent=2))
+        # one record at a time, byte for byte what json.dumps(list(records), indent=2) prints
+        encode = json.JSONEncoder(indent=2).encode
+        head = "["
+        for rec in records:
+            print(head, encode([rec])[2:-2], sep="\n", end="")
+            head = ","
+        print("\n]")
         return 0
     # csv prints the rows as they are rendered; md needs them all for the column widths
-    rows = itertools.chain([RECORD_FIELDS], ([_render_value(v) for v in rec.values()] for rec in records))
+    rows = itertools.chain(
+        [RECORD_FIELDS], (["" if v is None else str(v) for v in rec.values()] for rec in records)
+    )
     if args.format == "csv":
         for row in rows:
             print(",".join(row))
@@ -190,7 +194,7 @@ def cmd_check(args) -> int:
     report = stability_verdict(_usage(parse_triple_id, args.triple_id))
     with _printable():
         rec = report_record(report)
-        lines = [f"{key}: {_render_value(value)}" for key, value in rec.items()]
+        lines = [f"{key}: {'' if value is None else value}" for key, value in rec.items()]
     print("\n".join(lines))
     return 0
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .pasquier import (
     Family,
     TripleSpec,
+    Verdict,
     enumerate_triples,
     stability_verdict,
 )
@@ -112,17 +113,12 @@ class Mismatch:
 
 
 def _check_triple(t: TripleSpec) -> list[Mismatch]:
-    found = []
-
-    def expect(fixture, column, expected, actual):
-        if expected != actual:
-            found.append(Mismatch(fixture, t.triple_id, column, expected, actual))
-
     r = stability_verdict(t)
     v = r.variety
+    n, k = t.n, t.k
+    cells = []  # (fixture, column, expected, actual)
 
     if t.is_horospherical():
-        table = BL_H_NUM[t.family]
         actuals = {
             "dim_Y": v.dim_y,
             "c1_Y": v.c1_y,
@@ -131,23 +127,22 @@ def _check_triple(t: TripleSpec) -> list[Mismatch]:
             "dim_X": v.dim_x,
             "c1_X": v.r_x,
         }
-        for column, formula in table.items():
-            expect("bl_h_num", column, formula(t.n, t.k), actuals[column])
+        cells += [
+            ("bl_h_num", column, formula(n, k), actuals[column]) for column, formula in BL_H_NUM[t.family].items()
+        ]
+        rank_ey, c1_ey = CF_NUM[t.family](n, k)
+        cells += [("cf_num", "rank_EY", rank_ey, v.rank_ey), ("cf_num", "c1_EY", c1_ey, v.c1_ey)]
 
-        rank_ey, c1_ey = CF_NUM[t.family](t.n, t.k)
-        expect("cf_num", "rank_EY", rank_ey, v.rank_ey)
-        expect("cf_num", "c1_EY", c1_ey, v.c1_ey)
-
-    rank_f, c1_f = CF[t.family](t.n, t.k)
-    expect("cf", "rank_F", rank_f, v.rank_f)
-    expect("cf", "c1_F", c1_f, v.c1_f)
-
-    mu_f, mu_theta, unstable = STAB[t.family](t.n, t.k)
-    expect("stab", "mu_F", mu_f, r.mu_f)
-    expect("stab", "mu_Theta", mu_theta, r.mu_theta)
-    expect("stab", "mu_F > mu_Theta", unstable, r.mu_f > r.mu_theta)
-
-    return found
+    rank_f, c1_f = CF[t.family](n, k)
+    mu_f, mu_theta, unstable = STAB[t.family](n, k)
+    cells += [
+        ("cf", "rank_F", rank_f, v.rank_f),
+        ("cf", "c1_F", c1_f, v.c1_f),
+        ("stab", "mu_F", mu_f, r.mu_f),
+        ("stab", "mu_Theta", mu_theta, r.mu_theta),
+        ("stab", "mu_F > mu_Theta", unstable, r.verdict is Verdict.UNSTABLE),
+    ]
+    return [Mismatch(fixture, t.triple_id, column, e, a) for fixture, column, e, a in cells if e != a]
 
 
 def verify(max_n: int) -> list[Mismatch]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
-from .rootsys import DynkinType, chain_entry
+from .rootsys import DynkinType, factor_bond
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,6 @@ class FlagInvariants:
     index: int | None  # present iff the parabolic is maximal
 
 
-def _check(rank: int, m: ParabolicMarking) -> None:
-    bad = [i for i in m.marked if not 0 <= i < rank]
-    if bad:
-        raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rank - 1}")
-
-
 # The nilradical count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical
 # weight is 2*rho - sum(Phi+(Levi)), which vanishes off the marked set.  Every
 # supported factor diagram is a chain, so the Levi splits into runs of
@@ -73,37 +68,42 @@ def _run_data(series: str, rank: int, lo: int, hi: int) -> tuple[int, int, int]:
     return s * (s + 1) // 2, s, s
 
 
-def _levi_runs(rank: int, marked: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of unmarked nodes in a chain of `rank` nodes, given its sorted marked nodes."""
-    runs, start = [], 0
-    for i in marked:
-        if i > start:
-            runs.append((start, i - 1))
-        start = i + 1
-    if start < rank:
-        runs.append((start, rank - 1))
-    return runs
+def _walk(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """(dimension, -K) of G/P for the sorted, distinct marked nodes, in one walk over the diagram.
+
+    -K is sparse, {marked node: coefficient} in node order.  A node outside
+    0..rank-1 is passed over by the walk and refused at the end.
+    """
+    dimension, anti, offset, start = 0, {}, 0, 0
+    for f in dynkin.factors:
+        series, rank = f.series, f.rank
+        short, long_, bond = factor_bond(f)
+        end = bisect.bisect_left(marked, offset + rank, start)
+        dimension += _run_data(series, rank, 0, rank - 1)[0]
+        left = -1  # local index of the marked node before the next run, -1 at the chain's start
+        for node in (*marked[start:end], offset + rank):  # offset + rank stands for the chain's end
+            i = node - offset
+            if i < rank:
+                anti[node] = 2
+            if i > left + 1:  # the Levi run left+1..i-1
+                count, first, last = _run_data(series, rank, left + 1, i - 1)
+                dimension -= count
+                if left >= 0:
+                    anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
+                if i < rank:
+                    anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
+            left = i
+        offset, start = offset + rank, end
+    if marked[0] < 0 or marked[-1] >= offset:
+        bad = [i for i in marked if not 0 <= i < offset]
+        raise ValueError(f"marked nodes {bad} out of range 0..{offset - 1}")
+    return dimension, anti
 
 
 def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
     """Dimension and -K of G/P from the diagram alone, in one walk over the marked nodes."""
-    _check(dynkin.rank, m)
     marked = sorted(m.marked)
-    dimension, anti, offset, start = 0, {}, 0, 0
-    for f in dynkin.factors:
-        end = bisect.bisect_left(marked, offset + f.rank, start)
-        local = [i - offset for i in marked[start:end]]
-        dimension += _run_data(f.series, f.rank, 0, f.rank - 1)[0]
-        for i in local:
-            anti[offset + i] = 2
-        for lo, hi in _levi_runs(f.rank, local):
-            count, first, last = _run_data(f.series, f.rank, lo, hi)
-            dimension -= count
-            if lo > 0:
-                anti[offset + lo - 1] -= first * chain_entry(f, lo - 1, lo)
-            if hi < f.rank - 1:
-                anti[offset + hi + 1] -= last * chain_entry(f, hi + 1, hi)
-        offset, start = offset + f.rank, end
+    dimension, anti = _walk(dynkin, marked)
     return FlagInvariants(
         dimension=dimension,
         picard_rank=len(marked),

@@ -10,10 +10,12 @@ its canonical foliation, and the exact slope comparison that decides
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .flagvar import ParabolicMarking, flag_invariants
+from .flagvar import ParabolicMarking, _walk
 from .rootsys import DynkinType, parse_decimal, weight_label
 
 
@@ -27,7 +29,8 @@ class Family(enum.Enum):
     PAS_A1G2 = "PasA1G2"
 
 
-# family -> (n, k) -> (Dynkin type, nodes of the Y marking, nodes of the Z marking)
+# family -> (n, k) -> (Dynkin type, nodes of the Y marking, nodes of the Z marking),
+# each marking a sorted tuple of 0-based nodes; Y is always a single node
 _FAMILY_TABLE = {
     Family.BN_SPINOR: lambda n, k: (f"B{n}", (n - 2,), (n - 1,)),
     Family.B3_SPECIAL: lambda n, k: ("B3", (0,), (2,)),
@@ -92,21 +95,16 @@ def parse_triple_id(text: str) -> TripleSpec:
     raise ValueError(f"unknown triple family {head!r}; expected one of: {valid}")
 
 
-def enumerate_triples(max_n: int) -> list[TripleSpec]:
-    """All catalog members with parameter n at most `max_n`, in catalog order."""
+def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
+    """All catalog members with parameter n at most `max_n`, yielded in catalog order."""
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
-    triples = [TripleSpec(Family.BN_SPINOR, n=n) for n in range(3, max_n + 1)]
-    triples.append(TripleSpec(Family.B3_SPECIAL))
-    for n in range(2, max_n + 1):
-        triples.extend(TripleSpec(Family.CN, n=n, k=k) for k in range(2, n + 1))
-    triples += [
-        TripleSpec(Family.F4_HORO),
-        TripleSpec(Family.G2_HORO),
-        TripleSpec(Family.PAS_F4),
-        TripleSpec(Family.PAS_A1G2),
-    ]
-    return triples
+    return itertools.chain(
+        (TripleSpec(Family.BN_SPINOR, n=n) for n in range(3, max_n + 1)),
+        [TripleSpec(Family.B3_SPECIAL)],
+        (TripleSpec(Family.CN, n=n, k=k) for n in range(2, max_n + 1) for k in range(2, n + 1)),
+        [TripleSpec(f) for f in (Family.F4_HORO, Family.G2_HORO, Family.PAS_F4, Family.PAS_A1G2)],
+    )
 
 
 @dataclass(frozen=True)
@@ -157,19 +155,22 @@ _PINNED = {
 
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
-    dynkin, m_y, m_z = t.layout()
-    y, z = flag_invariants(dynkin, m_y), flag_invariants(dynkin, m_z)
-    dim_x = flag_invariants(dynkin, m_y.union(m_z)).dimension + 1
+    spec, y, z = _FAMILY_TABLE[t.family](t.n, t.k)
+    dynkin = DynkinType.parse(spec)
+    dim_y, anti_y = _walk(dynkin, y)
+    dim_z, c1_z = _walk(dynkin, z)
+    dim_x = _walk(dynkin, sorted({*y, *z}))[0] + 1
+    c1_y = anti_y[y[0]]
     rank_ey = c1_ey = None
     if t.family in _PINNED:
         r_x, rank_f, c1_f = _PINNED[t.family]
     else:
         # blow-up canonical formula applied to the drum contraction
-        r_x = 2 * dim_x - y.dimension - z.dimension
-        rank_ey, c1_ey = dim_x - y.dimension, y.index - (dim_x - z.dimension)
+        r_x = 2 * dim_x - dim_y - dim_z
+        rank_ey, c1_ey = dim_x - dim_y, c1_y - (dim_x - dim_z)
         rank_f, c1_f = rank_ey, rank_ey - c1_ey
     return VarietyInvariants(
-        dim_y=y.dimension, dim_z=z.dimension, dim_x=dim_x, c1_y=y.index, c1_z=z.anticanonical, r_x=r_x,
+        dim_y=dim_y, dim_z=dim_z, dim_x=dim_x, c1_y=c1_y, c1_z=c1_z, r_x=r_x,
         rank_f=rank_f, c1_f=c1_f, rank_ey=rank_ey, c1_ey=c1_ey,
     )
 
@@ -179,9 +180,11 @@ def stability_verdict(t: TripleSpec) -> StabilityReport:
     v = variety_invariants(t)
     mu_f = Fraction(v.c1_f, v.rank_f)
     mu_theta = Fraction(v.r_x, v.dim_x)
-    if mu_f > mu_theta:
+    # both denominators are positive, so mu_F - mu_Theta has the sign of c1_F * dim_X - r_X * rank_F
+    lhs, rhs = v.c1_f * v.dim_x, v.r_x * v.rank_f
+    if lhs > rhs:
         verdict = Verdict.UNSTABLE
-    elif mu_f == mu_theta:
+    elif lhs == rhs:
         verdict = Verdict.STRICTLY_SEMISTABLE_BOUNDARY
     else:
         verdict = Verdict.STABLE

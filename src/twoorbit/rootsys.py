@@ -119,13 +119,18 @@ _BOND = {
 }
 
 
+def factor_bond(f: SimpleFactor) -> tuple[int, int, int]:
+    """(short node, long node, a[short][long]) of one factor's multiple bond.
+
+    Type A has none and gets (-1, -1, -1), which no pair of its nodes matches.
+    """
+    return _BOND[f.series](f.rank) if f.series in _BOND else (-1, -1, -1)
+
+
 def chain_entry(f: SimpleFactor, i: int, j: int) -> int:
     """Cartan entry a[i][j] of two adjacent nodes of one factor, without building the matrix."""
-    if f.series in _BOND:
-        short, long_, entry = _BOND[f.series](f.rank)
-        if (i, j) == (short, long_):
-            return entry
-    return -1
+    short, long_, entry = factor_bond(f)
+    return entry if (i, j) == (short, long_) else -1
 
 
 def factor_cartan(f: SimpleFactor) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -426,18 +427,49 @@ def test_run_propagates_exit_status(monkeypatch):
     assert exc.value.code == 0
 
 
-def test_closed_stdout_exits_141_quietly():
-    # what `twoorbit table --max-n 60 | head -1` does: the reader leaves after one line
+def _read_then_close(argv, lines):
+    """Run `twoorbit argv`, read `lines` lines and close stdout, as `| head -<lines>` does.
+
+    Returns (the lines read, the exit status, stderr, the seconds it took).  The
+    child may map 1 GB, so a command that builds its whole output first fails
+    fast instead of filling the machine's memory.
+    """
     src = str(Path(twoorbit.__file__).resolve().parents[1])
+    start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "twoorbit.cli", "table", "--max-n", "60"],
+        [sys.executable, "-m", "twoorbit.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
-    assert proc.stdout.readline().startswith(b"| triple")
+    read = [proc.stdout.readline() for _ in range(lines)]
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
+    code = proc.wait(timeout=60)
+    return read, code, err, time.perf_counter() - start
+
+
+def test_closed_stdout_exits_141_quietly():
+    # what `twoorbit table --max-n 60 | head -1` does: the reader leaves after one line
+    (line,), code, err, _ = _read_then_close(["table", "--max-n", "60"], 1)
+    assert line.startswith(b"| triple")
+    assert code == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv,lines,first",
+    [
+        (["table", "--max-n", "300", "--format", "json"], 1, b"[\n"),
+        # about 5*10^9 triples: only a lazy catalog can print its first rows
+        (["table", "--max-n", "100000", "--format", "csv"], 3, b"triple,family,"),
+    ],
+    ids=["json", "csv-huge"],
+)
+def test_streamed_table_closed_early(argv, lines, first):
+    read, code, err, elapsed = _read_then_close(argv, lines)
+    assert read[0].startswith(first) and all(read)
+    assert (code, err) == (141, b"")
+    assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"

@@ -181,6 +181,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             flag_invariants(rs.dynkin, ParabolicMarking.of(5))
 
+    @pytest.mark.parametrize(
+        "spec,nodes,message",
+        [
+            ("B3", (1, 3, 5), "marked nodes [3, 5] out of range 0..2"),
+            ("A1xG2", (-1, 0, 2), "marked nodes [-1] out of range 0..2"),
+        ],
+    )
+    def test_out_of_range_message(self, spec, nodes, message):
+        with pytest.raises(ValueError) as exc:
+            flag_invariants(DynkinType.parse(spec), ParabolicMarking.of(*nodes))
+        assert str(exc.value) == message
+
     def test_index_requires_maximal_parabolic(self):
         rs = rs_of("B3")
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from twoorbit import fixtures, pasquier
+from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
     Family,
     TripleSpec,
@@ -35,15 +36,15 @@ class TestEnumeration:
         ]
 
     def test_count_at_four(self):
-        assert len(enumerate_triples(4)) == 13
+        assert len(list(enumerate_triples(4))) == 13
 
     def test_count_grows_by_n_plus_one(self):
         # one new spinor triple plus n-1 new C_n triples at each step
         for n in range(4, 9):
-            assert len(enumerate_triples(n)) - len(enumerate_triples(n - 1)) == n
+            assert len(list(enumerate_triples(n))) - len(list(enumerate_triples(n - 1))) == n
 
     def test_no_duplicates(self):
-        triples = enumerate_triples(12)
+        triples = list(enumerate_triples(12))
         assert len(triples) == len(set(triples))
 
     def test_rejects_small_bound(self):
@@ -123,6 +124,20 @@ class TestVarietyInvariants:
         if t.is_horospherical():
             f = stability_verdict(t).variety
             assert v.dim_x == v.dim_y + f.rank_ey
+
+    def test_lean_path_matches_flag_invariants(self):
+        # variety_invariants walks the family table's node tuples; flag_invariants
+        # takes the ParabolicMarkings of layout(), Z's two factors for PasA1G2 included
+        checked = set()
+        for t in enumerate_triples(30):
+            dynkin, m_y, m_z = t.layout()
+            y, z, x = (flag_invariants(dynkin, m) for m in (m_y, m_z, m_y.union(m_z)))
+            v = variety_invariants(t)
+            expected = (y.dimension, z.dimension, x.dimension + 1, y.index)
+            assert (v.dim_y, v.dim_z, v.dim_x, v.c1_y) == expected, t.triple_id
+            assert list(v.c1_z.items()) == list(z.anticanonical.items()), t.triple_id
+            checked.add(t.family)
+        assert checked == set(Family)
 
 
 def test_fano_degree_symbolic():
@@ -210,7 +225,7 @@ class TestOneEvaluationPerTriple:
         return counts
 
     def test_stability_verdict(self, calls):
-        triples = enumerate_triples(12)
+        triples = list(enumerate_triples(12))
         for t in triples:
             stability_verdict(t)
         assert calls == Counter(triples)
