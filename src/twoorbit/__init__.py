@@ -8,7 +8,7 @@ from .rootsys import (
     build_root_system,
     weyl_dim,
 )
-from .flagvar import FlagInvariants, ParabolicMarking, flag_invariants
+from .flagvar import flag_invariants
 from .pasquier import (
     Family,
     StabilityReport,
@@ -25,7 +25,7 @@ from .pasquier import (
 __all__ = [
     "DynkinType", "RootSystem", "SimpleFactor", "UnsupportedTypeError",
     "build_root_system", "weyl_dim",
-    "FlagInvariants", "ParabolicMarking", "flag_invariants",
+    "flag_invariants",
     "Family", "StabilityReport", "TripleSpec",
     "VarietyInvariants", "Verdict", "enumerate_triples",
     "parse_triple_id", "report_record", "stability_verdict",

@@ -16,7 +16,7 @@ import sys
 from operator import itemgetter
 
 from . import fixtures
-from .flagvar import ParabolicMarking, flag_invariants
+from .flagvar import flag_invariants
 from .pasquier import (
     RECORD_FIELDS,
     enumerate_triples,
@@ -87,8 +87,8 @@ def _parse_weight(dynkin: DynkinType, text: str) -> tuple[int, ...]:
     return weight
 
 
-def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
-    """Node list grammar: 1-based within a factor, "f.i" for products."""
+def _parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
+    """Node list grammar: 1-based within a factor, "f.i" for products; sorted global nodes out."""
     offsets = dynkin.factor_offsets()
     indices = set()
     for token in text.split(","):
@@ -112,9 +112,7 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> ParabolicMarking:
         if index in indices:
             raise UsageError(f"node {token!r} is marked twice")
         indices.add(index)
-    if not indices:
-        raise UsageError("empty node list")
-    return ParabolicMarking(frozenset(indices))
+    return sorted(indices)
 
 
 def cmd_roots(args) -> int:
@@ -132,18 +130,17 @@ def cmd_roots(args) -> int:
 
 def cmd_flag(args) -> int:
     dynkin = _usage(DynkinType.parse, args.type)
-    marking = _parse_nodes(dynkin, args.mark)
-    inv = flag_invariants(dynkin, marking)
+    dimension, anti = flag_invariants(dynkin, _parse_nodes(dynkin, args.mark))
     with _printable():
-        marked = ",".join(node_labels(dynkin, sorted(marking.marked)))
+        marked = ",".join(node_labels(dynkin, anti))
         lines = [
             f"type: {dynkin}  marked: {marked}",
-            f"dimension: {inv.dimension}",
-            f"picard_rank: {inv.picard_rank}",
-            f"anticanonical: {weight_label(dynkin, inv.anticanonical)}",
+            f"dimension: {dimension}",
+            f"picard_rank: {len(anti)}",
+            f"anticanonical: {weight_label(dynkin, anti)}",
         ]
-        if inv.index is not None:
-            lines.append(f"index: {inv.index}")
+        if len(anti) == 1:
+            lines.append(f"index: {next(iter(anti.values()))}")
     print("\n".join(lines))
     return 0
 

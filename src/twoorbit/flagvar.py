@@ -1,8 +1,8 @@
-"""Invariants of generalized flag varieties G/P from a parabolic marking.
+"""Invariants of generalized flag varieties G/P from the marked Dynkin nodes.
 
-A marking is the set of simple roots *outside* the Levi subgroup.  The
+The marked nodes are the simple roots *outside* the Levi subgroup.  The
 dimension of G/P is the number of nilradical roots (positive roots supported
-on the marking), and the anticanonical class is their sum written in the
+on the marked nodes), and the anticanonical class is their sum written in the
 fundamental-weight basis.  Both are read off the Dynkin diagram here, without
 enumerating a root.
 """
@@ -10,36 +10,9 @@ enumerating a root.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .rootsys import DynkinType, factor_bond
-
-
-@dataclass(frozen=True)
-class ParabolicMarking:
-    """Nonempty set of marked Dynkin nodes (0-based global indices)."""
-
-    marked: frozenset[int]
-
-    def __post_init__(self):
-        if not self.marked:
-            raise ValueError("marking must be nonempty (G/G is a point)")
-
-    @classmethod
-    def of(cls, *nodes: int) -> "ParabolicMarking":
-        return cls(frozenset(nodes))
-
-    def union(self, other: "ParabolicMarking") -> "ParabolicMarking":
-        return ParabolicMarking(self.marked | other.marked)
-
-
-@dataclass(frozen=True)
-class FlagInvariants:
-    dimension: int
-    picard_rank: int
-    anticanonical: dict[int, int]  # -K on each marked node, in node order; 0 off the marking
-    index: int | None  # present iff the parabolic is maximal
 
 
 # The nilradical count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical
@@ -68,11 +41,20 @@ def _run_data(series: str, rank: int, lo: int, hi: int) -> tuple[int, int, int]:
     return s * (s + 1) // 2, s, s
 
 
-def _walk(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int]]:
-    """(dimension, -K) of G/P for the sorted, distinct marked nodes, in one walk over the diagram.
+def _refuse(dynkin: DynkinType, marked: Sequence[int]) -> NoReturn:
+    """Refuse a node list the walk cannot take, naming its out-of-range nodes if it has any."""
+    bad = sorted({i for i in marked if not 0 <= i < dynkin.rank})
+    if bad:
+        raise ValueError(f"marked nodes {bad} out of range 0..{dynkin.rank - 1}")
+    raise ValueError(f"marked nodes {list(marked)} must be nonempty and strictly increasing")
 
-    -K is sparse, {marked node: coefficient} in node order.  A node outside
-    0..rank-1 is passed over by the walk and refused at the end.
+
+def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """(dimension, -K) of G/P, in one walk over the diagram.
+
+    `marked` holds 0-based global nodes in strictly increasing order; an
+    empty, unsorted or out-of-range list raises ValueError.  -K is sparse,
+    {marked node: coefficient} in node order.
     """
     dimension, anti, offset, start = 0, {}, 0, 0
     for f in dynkin.factors:
@@ -85,6 +67,8 @@ def _walk(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int
             i = node - offset
             if i < rank:
                 anti[node] = 2
+            elif i > rank:  # only the chain's end may sit at i == rank
+                _refuse(dynkin, marked)
             if i > left + 1:  # the Levi run left+1..i-1
                 count, first, last = _run_data(series, rank, left + 1, i - 1)
                 dimension -= count
@@ -92,21 +76,10 @@ def _walk(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
                 if i < rank:
                     anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
+            elif i <= left:  # a repeat or a step back
+                _refuse(dynkin, marked)
             left = i
         offset, start = offset + rank, end
-    if marked[0] < 0 or marked[-1] >= offset:
-        bad = [i for i in marked if not 0 <= i < offset]
-        raise ValueError(f"marked nodes {bad} out of range 0..{offset - 1}")
+    if start < len(marked) or not marked:  # nodes past the last factor, or none
+        _refuse(dynkin, marked)
     return dimension, anti
-
-
-def flag_invariants(dynkin: DynkinType, m: ParabolicMarking) -> FlagInvariants:
-    """Dimension and -K of G/P from the diagram alone, in one walk over the marked nodes."""
-    marked = sorted(m.marked)
-    dimension, anti = _walk(dynkin, marked)
-    return FlagInvariants(
-        dimension=dimension,
-        picard_rank=len(marked),
-        anticanonical=anti,
-        index=anti[marked[0]] if len(marked) == 1 else None,
-    )

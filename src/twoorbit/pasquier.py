@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .flagvar import ParabolicMarking, _walk
+from .flagvar import flag_invariants
 from .rootsys import DynkinType, parse_decimal, weight_label
 
 
@@ -29,8 +29,9 @@ class Family(enum.Enum):
     PAS_A1G2 = "PasA1G2"
 
 
-# family -> (n, k) -> (Dynkin type, nodes of the Y marking, nodes of the Z marking),
-# each marking a sorted tuple of 0-based nodes; Y is always a single node
+# family -> (n, k) -> (Dynkin type, marked nodes of Y, marked nodes of Z), each
+# a strictly increasing tuple of 0-based global nodes as `flag_invariants` takes
+# it; Y is always a single node.  `_layout` is the one reader of this table.
 _FAMILY_TABLE = {
     Family.BN_SPINOR: lambda n, k: (f"B{n}", (n - 2,), (n - 1,)),
     Family.B3_SPECIAL: lambda n, k: ("B3", (0,), (2,)),
@@ -59,11 +60,6 @@ class TripleSpec:
                 raise ValueError("C_n family needs n >= 2 and 2 <= k <= n")
         elif self.n is not None or self.k is not None:
             raise ValueError(f"family {self.family.value} takes no parameters")
-
-    def layout(self) -> tuple[DynkinType, ParabolicMarking, ParabolicMarking]:
-        """The Dynkin type and the Y and Z markings, from one `_FAMILY_TABLE` lookup."""
-        spec, y, z = _FAMILY_TABLE[self.family](self.n, self.k)
-        return DynkinType.parse(spec), ParabolicMarking.of(*y), ParabolicMarking.of(*z)
 
     @property
     def triple_id(self) -> str:
@@ -154,12 +150,17 @@ _PINNED = {
 }
 
 
-def variety_invariants(t: TripleSpec) -> VarietyInvariants:
+def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
+    """The Dynkin type and the Y and Z marked-node tuples of a triple."""
     spec, y, z = _FAMILY_TABLE[t.family](t.n, t.k)
-    dynkin = DynkinType.parse(spec)
-    dim_y, anti_y = _walk(dynkin, y)
-    dim_z, c1_z = _walk(dynkin, z)
-    dim_x = _walk(dynkin, sorted({*y, *z}))[0] + 1
+    return DynkinType.parse(spec), y, z
+
+
+def variety_invariants(t: TripleSpec) -> VarietyInvariants:
+    dynkin, y, z = _layout(t)
+    dim_y, anti_y = flag_invariants(dynkin, y)
+    dim_z, c1_z = flag_invariants(dynkin, z)
+    dim_x = flag_invariants(dynkin, sorted({*y, *z}))[0] + 1
     c1_y = anti_y[y[0]]
     rank_ey = c1_ey = None
     if t.family in _PINNED:
@@ -207,7 +208,7 @@ def report_record(r: StabilityReport) -> dict:
     c1_z = v.c1_z_scalar()
     return dict(zip(RECORD_FIELDS, (
         t.triple_id, t.family.value, t.n, t.k,
-        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(t.layout()[0], v.c1_z),
+        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(_layout(t)[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
         v.rank_ey, v.c1_ey, v.rank_f, v.c1_f,
         f"{r.mu_f.numerator}/{r.mu_f.denominator}",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from twoorbit.flagvar import ParabolicMarking
 from twoorbit.rootsys import RootSystem
 
 
@@ -59,30 +58,32 @@ def coroot_pairing(rs: RootSystem, lam: Sequence[int], alpha: tuple[int, ...]) -
 
 # --- flag varieties by root enumeration --------------------------------------
 
-def nilradical_roots(rs: RootSystem, m: ParabolicMarking) -> list[tuple[int, ...]]:
-    bad = [i for i in m.marked if not 0 <= i < rs.rank]
+# each takes the marked nodes as a sequence of 0-based global nodes
+
+def nilradical_roots(rs: RootSystem, marked: Sequence[int]) -> list[tuple[int, ...]]:
+    bad = [i for i in marked if not 0 <= i < rs.rank]
     if bad:
         raise ValueError(f"marked nodes {sorted(bad)} out of range 0..{rs.rank - 1}")
-    return [a for a in rs.positive_roots if any(a[i] for i in m.marked)]
+    return [a for a in rs.positive_roots if any(a[i] for i in marked)]
 
 
-def flag_dimension(rs: RootSystem, m: ParabolicMarking) -> int:
+def flag_dimension(rs: RootSystem, marked: Sequence[int]) -> int:
     """dim G/P = number of positive roots supported on the marked set."""
-    return len(nilradical_roots(rs, m))
+    return len(nilradical_roots(rs, marked))
 
 
-def anticanonical_weight(rs: RootSystem, m: ParabolicMarking) -> tuple[int, ...]:
+def anticanonical_weight(rs: RootSystem, marked: Sequence[int]) -> tuple[int, ...]:
     """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
-    nil = nilradical_roots(rs, m)
+    nil = nilradical_roots(rs, marked)
     return root_to_weight(rs, tuple(sum(a[j] for a in nil) for j in range(rs.rank)))
 
 
-def fano_index(rs: RootSystem, m: ParabolicMarking) -> int:
+def fano_index(rs: RootSystem, marked: Sequence[int]) -> int:
     """Fano index of G/P for a maximal parabolic: the coefficient of -K on its node."""
-    if len(m.marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(m.marked)}")
-    (node,) = m.marked
-    return int(anticanonical_weight(rs, m)[node])
+    if len(marked) != 1:
+        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(marked)}")
+    (node,) = marked
+    return int(anticanonical_weight(rs, marked)[node])
 
 
 # --- reflection closure and Freudenthal --------------------------------------

@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from twoorbit.fixtures import BL_H_NUM, CF, CF_NUM, STAB, verify
-from twoorbit.flagvar import ParabolicMarking
 from twoorbit.pasquier import (
     Family,
     TripleSpec,
     Verdict,
+    _layout,
     enumerate_triples,
     report_record,
     stability_verdict,
@@ -94,18 +94,18 @@ def test_criterion_4_exceptional_case_pins():
     v4, fo4 = variety_invariants(f4), stability_verdict(f4).variety
     assert (v4.dim_x, v4.r_x, fo4.rank_f, fo4.c1_f) == (23, 8, 8, 0)
     assert v4.dim_x - v4.dim_y == 8
-    dynkin, m_y, m_z = f4.layout()
+    dynkin, y, z = _layout(f4)
     rs = build_root_system(dynkin)
-    pair = m_y.union(m_z)
+    pair = sorted({*y, *z})
     assert anticanonical_weight(rs, pair) == (3, 0, 5, 0)
 
     ag = TripleSpec(Family.PAS_A1G2)
     vg, fog = variety_invariants(ag), stability_verdict(ag).variety
     assert (vg.dim_x, vg.r_x, fog.rank_f, fog.c1_f) == (8, 6, 3, 0)
     assert vg.dim_x - vg.dim_y == 3
-    dynkin, m_y, m_z = ag.layout()
+    dynkin, y, z = _layout(ag)
     rs = build_root_system(dynkin)
-    pair = m_y.union(m_z)
+    pair = sorted({*y, *z})
     assert anticanonical_weight(rs, pair) == (2, 2, 2)
     _report("4", "pins (23,8,8,0) and (8,6,3,0) plus both consistency guards")
 
@@ -145,17 +145,17 @@ def test_criterion_6_property_suite():
         dynkin = DynkinType.parse(spec)
         rs = build_root_system(dynkin)
         assert set(rs.positive_roots) == reflection_closure_positive_roots(rs)
-        full = ParabolicMarking(frozenset(range(rs.rank)))
+        full = tuple(range(rs.rank))
         assert anticanonical_weight(rs, full) == (2,) * rs.rank
         for size in range(1, rs.rank + 1):
             for sub in itertools.combinations(range(rs.rank), size):
-                m = ParabolicMarking(frozenset(sub))
+                m = sub
                 anti = anticanonical_weight(rs, m)
                 for i, c in enumerate(anti):
                     assert (c >= 2) if i in sub else (c == 0)
                 for extra in range(rs.rank):
                     if extra not in sub:
-                        bigger = ParabolicMarking(frozenset(sub) | {extra})
+                        bigger = tuple(sorted((*sub, extra)))
                         assert flag_dimension(rs, bigger) > flag_dimension(rs, m)
                 checked += 1
 
@@ -165,7 +165,7 @@ def test_criterion_6_property_suite():
         n = rng.randint(2, 12)
         rs = build_root_system(DynkinType.parse(f"{series}{n}"))
         sub = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        anti = anticanonical_weight(rs, ParabolicMarking(sub))
+        anti = anticanonical_weight(rs, sorted(sub))
         for i, c in enumerate(anti):
             assert (c >= 2) if i in sub else (c == 0)
         checked += 1
@@ -175,10 +175,8 @@ def test_criterion_6_property_suite():
     a1 = build_root_system(DynkinType.parse("A1"))
     g2 = build_root_system(DynkinType.parse("G2"))
     for g2_sub in [{0}, {1}, {0, 1}]:
-        joint = ParabolicMarking(frozenset({0} | {i + 1 for i in g2_sub}))
-        split = flag_dimension(a1, ParabolicMarking.of(0)) + flag_dimension(
-            g2, ParabolicMarking(frozenset(g2_sub))
-        )
+        joint = sorted({0} | {i + 1 for i in g2_sub})
+        split = flag_dimension(a1, (0,)) + flag_dimension(g2, sorted(g2_sub))
         assert flag_dimension(prod, joint) == split
 
     # serialization round-trip and determinism of the catalog records

@@ -178,6 +178,11 @@ class TestFlag:
         assert code == 2
         assert "1..3" in err
 
+    @pytest.mark.parametrize("mark", ["", ","])
+    def test_empty_node(self, capsys, mark):
+        expected = (2, "", "error: node '': valid range is 1..3 within B3\n")
+        assert run_cli(capsys, "flag", "B3", "--mark", mark) == expected
+
     def test_dimension_past_int_digit_limit(self, capsys):
         # a rank of 3,001 digits is parsed, but the dimension has about 6,000
         code, out, err = run_cli(capsys, "flag", "B1" + "0" * 3000, "--mark", "1" + "0" * 2999)
@@ -279,6 +284,8 @@ PINNED_STDOUT = {
     ("check", "G2horo"): "5b25634ffd9831a84017cbe31527b91d293b9024b5519ed08e5fd39745d8ca84",
     ("check", "B3special"): "342d1b63cdb6e117f30a314c2c01d953681e2c7325a92572c8b193170c3f712f",
     ("flag", "F4", "--mark", "1,3"): "642c4789f4d5c329f6fb2aa71398ed615ba58e4cd5182d5937ccb7baacacddb9",
+    # the nodes in any order print the same bytes
+    ("flag", "F4", "--mark", "3,1"): "642c4789f4d5c329f6fb2aa71398ed615ba58e4cd5182d5937ccb7baacacddb9",
     ("flag", "A1xG2", "--mark", "1.1,2.2"): "c1ea77713fa52b72deb20e40d5abb9e8aa547b4502afdc5d625f8d932f93c488",
 }
 

@@ -10,6 +10,7 @@ from twoorbit.pasquier import (
     Family,
     TripleSpec,
     Verdict,
+    _layout,
     enumerate_triples,
     parse_triple_id,
     report_record,
@@ -119,23 +120,26 @@ class TestVarietyInvariants:
     def test_open_orbit_dimension_route(self, t):
         # dim X is one more than the flag variety of the joint marking
         v = variety_invariants(t)
-        dynkin, m_y, m_z = t.layout()
-        assert v.dim_x == flag_dimension(build_root_system(dynkin), m_y.union(m_z)) + 1
+        dynkin, y, z = _layout(t)
+        assert v.dim_x == flag_dimension(build_root_system(dynkin), sorted({*y, *z})) + 1
         if t.is_horospherical():
             f = stability_verdict(t).variety
             assert v.dim_x == v.dim_y + f.rank_ey
 
     def test_lean_path_matches_flag_invariants(self):
-        # variety_invariants walks the family table's node tuples; flag_invariants
-        # takes the ParabolicMarkings of layout(), Z's two factors for PasA1G2 included
+        # variety_invariants puts together the walks of _layout's Y and Z tuples
+        # and of their union, Z's two factors for PasA1G2 included
         checked = set()
         for t in enumerate_triples(30):
-            dynkin, m_y, m_z = t.layout()
-            y, z, x = (flag_invariants(dynkin, m) for m in (m_y, m_z, m_y.union(m_z)))
+            dynkin, y, z = _layout(t)
+            (dim_y, anti_y), (dim_z, anti_z), (dim_x, _) = (
+                flag_invariants(dynkin, m) for m in (y, z, sorted({*y, *z}))
+            )
             v = variety_invariants(t)
-            expected = (y.dimension, z.dimension, x.dimension + 1, y.index)
+            assert len(anti_y) == 1, t.triple_id
+            expected = (dim_y, dim_z, dim_x + 1, anti_y[y[0]])
             assert (v.dim_y, v.dim_z, v.dim_x, v.c1_y) == expected, t.triple_id
-            assert list(v.c1_z.items()) == list(z.anticanonical.items()), t.triple_id
+            assert list(v.c1_z.items()) == list(anti_z.items()), t.triple_id
             checked.add(t.family)
         assert checked == set(Family)
 
