@@ -142,9 +142,7 @@ def test_product_marking_is_additive():
     prod = rs_of("A1xG2")
     a1, g2 = rs_of("A1"), rs_of("G2")
     m = (0, 2)
-    assert flag_dimension(prod, m) == flag_dimension(a1, (0,)) + flag_dimension(
-        g2, (1,)
-    )
+    assert flag_dimension(prod, m) == flag_dimension(a1, (0,)) + flag_dimension(g2, (1,))
     anti = anticanonical_weight(prod, m)
     assert anti[0] == anticanonical_weight(a1, (0,))[0]
     assert anti[1:] == anticanonical_weight(g2, (1,))
