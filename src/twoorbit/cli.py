@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 from operator import itemgetter
@@ -162,6 +161,8 @@ def cmd_table(args) -> int:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
     records = (report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n))
     if args.format == "json":
+        import json  # here only: the other commands do not pay for importing it
+
         # one record at a time, byte for byte what json.dumps(list(records), indent=2) prints
         encode = json.JSONEncoder(indent=2).encode
         head = "["

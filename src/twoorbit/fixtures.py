@@ -8,8 +8,8 @@ and reports each mismatch as (table, row, column, expected, actual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .pasquier import (
     Family,
@@ -97,8 +97,7 @@ STAB = {
 FIXTURE_IDS = ("bl_h_num", "cf_num", "cf", "stab")
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     fixture: str
     row: str
     column: str

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .flagvar import flag_invariants
-from .rootsys import DynkinType, parse_decimal, weight_label
+from .rootsys import DynkinType, SimpleFactor, parse_decimal, weight_label
 
 
 class Family(enum.Enum):
@@ -29,37 +28,42 @@ class Family(enum.Enum):
     PAS_A1G2 = "PasA1G2"
 
 
-# family -> (n, k) -> (Dynkin type, marked nodes of Y, marked nodes of Z), each
-# a strictly increasing tuple of 0-based global nodes as `flag_invariants` takes
-# it; Y is always a single node.  `_layout` is the one reader of this table.
+# family -> (n, k) -> (Dynkin type as (series, rank) factor pairs, marked nodes
+# of Y, marked nodes of Z), each node tuple strictly increasing and 0-based
+# global as `flag_invariants` takes it; Y is always a single node.  `_layout` is
+# the one reader of this table.
 _FAMILY_TABLE = {
-    Family.BN_SPINOR: lambda n, k: (f"B{n}", (n - 2,), (n - 1,)),
-    Family.B3_SPECIAL: lambda n, k: ("B3", (0,), (2,)),
-    Family.CN: lambda n, k: (f"C{n}", (k - 1,), (k - 2,)),
-    Family.F4_HORO: lambda n, k: ("F4", (1,), (2,)),
-    Family.G2_HORO: lambda n, k: ("G2", (0,), (1,)),
-    Family.PAS_F4: lambda n, k: ("F4", (0,), (2,)),
+    Family.BN_SPINOR: lambda n, k: ((("B", n),), (n - 2,), (n - 1,)),
+    Family.B3_SPECIAL: lambda n, k: ((("B", 3),), (0,), (2,)),
+    Family.CN: lambda n, k: ((("C", n),), (k - 1,), (k - 2,)),
+    Family.F4_HORO: lambda n, k: ((("F", 4),), (1,), (2,)),
+    Family.G2_HORO: lambda n, k: ((("G", 2),), (0,), (1,)),
+    Family.PAS_F4: lambda n, k: ((("F", 4),), (0,), (2,)),
     # Y is the G2 contact manifold K(G2), on which the A1 factor acts
     # trivially; Z is P^1 x Q^5, the A1 node together with the short G2 node
-    Family.PAS_A1G2: lambda n, k: ("A1xG2", (1,), (0, 2)),
+    Family.PAS_A1G2: lambda n, k: ((("A", 1), ("G", 2)), (1,), (0, 2)),
 }
 
 
-@dataclass(frozen=True)
-class TripleSpec:
+class _TripleSpecFields(NamedTuple):
     family: Family
     n: int | None = None
     k: int | None = None
 
-    def __post_init__(self):
-        if self.family is Family.BN_SPINOR:
-            if self.n is None or self.n < 3 or self.k is not None:
+
+class TripleSpec(_TripleSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, family: Family, n: int | None = None, k: int | None = None):
+        if family is Family.BN_SPINOR:
+            if n is None or n < 3 or k is not None:
                 raise ValueError("spinor family needs n >= 3 and takes no k")
-        elif self.family is Family.CN:
-            if self.n is None or self.k is None or self.n < 2 or not 2 <= self.k <= self.n:
+        elif family is Family.CN:
+            if n is None or k is None or n < 2 or not 2 <= k <= n:
                 raise ValueError("C_n family needs n >= 2 and 2 <= k <= n")
-        elif self.n is not None or self.k is not None:
-            raise ValueError(f"family {self.family.value} takes no parameters")
+        elif n is not None or k is not None:
+            raise ValueError(f"family {family.value} takes no parameters")
+        return tuple.__new__(cls, (family, n, k))
 
     @property
     def triple_id(self) -> str:
@@ -103,8 +107,7 @@ def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
     )
 
 
-@dataclass(frozen=True)
-class VarietyInvariants:
+class VarietyInvariants(NamedTuple):
     dim_y: int
     dim_z: int
     dim_x: int
@@ -131,8 +134,7 @@ class Verdict(enum.Enum):
     STABLE = "Stable"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     triple: TripleSpec
     variety: VarietyInvariants
     mu_f: Fraction
@@ -152,8 +154,8 @@ _PINNED = {
 
 def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
     """The Dynkin type and the Y and Z marked-node tuples of a triple."""
-    spec, y, z = _FAMILY_TABLE[t.family](t.n, t.k)
-    return DynkinType.parse(spec), y, z
+    factors, y, z = _FAMILY_TABLE[t.family](t.n, t.k)
+    return DynkinType(tuple(itertools.starmap(SimpleFactor, factors))), y, z
 
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:

@@ -17,8 +17,7 @@ import bisect
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class UnsupportedTypeError(ValueError):
@@ -40,32 +39,43 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
+# The records of this package are immutable NamedTuples.  A validated record
+# is a subclass of its fields' NamedTuple whose __new__ checks the values and
+# calls tuple.__new__ directly, one Python frame per construction.
+
+
+class _SimpleFactorFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self):
-        if self.series not in _MIN_RANK:
-            raise UnsupportedTypeError(
-                f"unsupported type {self.series}{self.rank}: only A, B, C, F4, G2"
-            )
-        if self.rank < _MIN_RANK[self.series]:
-            raise ValueError(f"rank {self.rank} too small for series {self.series}")
-        if self.series in _FIXED_RANK and self.rank != _FIXED_RANK[self.series]:
-            raise ValueError(f"series {self.series} has rank {_FIXED_RANK[self.series]}")
+
+class SimpleFactor(_SimpleFactorFields):
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int):
+        if series not in _MIN_RANK:
+            raise UnsupportedTypeError(f"unsupported type {series}{rank}: only A, B, C, F4, G2")
+        if rank < _MIN_RANK[series]:
+            raise ValueError(f"rank {rank} too small for series {series}")
+        if series in _FIXED_RANK and rank != _FIXED_RANK[series]:
+            raise ValueError(f"series {series} has rank {_FIXED_RANK[series]}")
+        return tuple.__new__(cls, (series, rank))
 
     def __str__(self):
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class _DynkinTypeFields(NamedTuple):
     factors: tuple[SimpleFactor, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+
+class DynkinType(_DynkinTypeFields):
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[SimpleFactor, ...]):
+        if not factors:
             raise ValueError("Dynkin type needs at least one factor")
+        return tuple.__new__(cls, (factors,))
 
     @property
     def rank(self) -> int:
@@ -154,16 +164,19 @@ def _factor_symmetrizer(f: SimpleFactor) -> list[int]:
     return [1 if (i - long_) * (short - long_) > 0 else -entry for i in range(f.rank)]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     dynkin: DynkinType
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
-    positive_roots: tuple[tuple[int, ...], ...] = field(repr=False)
+    positive_roots: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.dynkin.rank
+
+    def __repr__(self):
+        # without the positive roots, which can run to thousands
+        return f"RootSystem(dynkin={self.dynkin!r}, cartan={self.cartan!r}, symmetrizer={self.symmetrizer!r})"
 
 
 def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -1,4 +1,26 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 import twoorbit
+from twoorbit import (
+    DynkinType,
+    Family,
+    RootSystem,
+    SimpleFactor,
+    StabilityReport,
+    TripleSpec,
+    UnsupportedTypeError,
+    VarietyInvariants,
+    build_root_system,
+    stability_verdict,
+    variety_invariants,
+)
+from twoorbit.fixtures import Mismatch
 
 # enumeration-only functions that moved to tests/oracles.py, and the types
 # that only wrapped an integer tuple, a part of VarietyInvariants, or the
@@ -20,3 +42,95 @@ def test_removed_names_are_not_exported():
     assert [name for name in REMOVED if name in twoorbit.__all__] == []
     assert [name for name in REMOVED if hasattr(twoorbit, name)] == []
     assert not hasattr(twoorbit.TripleSpec, "layout")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """`import twoorbit.cli` adds none of these to a bare interpreter's modules; each costs start-up time."""
+    src = str(Path(twoorbit.__file__).resolve().parents[1])
+    code = "import sys; bare = set(sys.modules); import twoorbit.cli; print(*sorted(set(sys.modules) - bare))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    added = set(out.split())
+    assert "twoorbit.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "json"} == set()
+
+
+# --- the record contract ------------------------------------------------------
+
+_CN = TripleSpec(Family.CN, n=4, k=3)
+
+# (class, field names, a builder of one value, hashable) for every record type;
+# each call of the builder makes a new object
+RECORDS = [
+    (SimpleFactor, ("series", "rank"), lambda: SimpleFactor(series="B", rank=3), True),
+    (DynkinType, ("factors",), lambda: DynkinType(factors=(SimpleFactor("A", 1), SimpleFactor("G", 2))), True),
+    (RootSystem, ("dynkin", "cartan", "symmetrizer", "positive_roots"),
+     lambda: build_root_system(DynkinType.parse("G2")), True),
+    (TripleSpec, ("family", "n", "k"), lambda: TripleSpec(family=Family.CN, n=4, k=3), True),
+    # c1_z is a dict, so these two are not hashable, as the frozen dataclasses were not
+    (VarietyInvariants,
+     ("dim_y", "dim_z", "dim_x", "c1_y", "c1_z", "r_x", "rank_f", "c1_f", "rank_ey", "c1_ey"),
+     lambda: variety_invariants(_CN), False),
+    (StabilityReport, ("triple", "variety", "mu_f", "mu_theta", "verdict"), lambda: stability_verdict(_CN), False),
+    (Mismatch, ("fixture", "row", "column", "expected", "actual"),
+     lambda: Mismatch(fixture="stab", row="Bn:n=4", column="mu_F", expected=Fraction(1, 2), actual=0), True),
+]
+
+
+@pytest.mark.parametrize("cls, fields, build, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecordContract:
+    def test_fields_in_order(self, cls, fields, build, hashable):
+        assert cls._fields == fields
+        assert isinstance(build(), cls)
+
+    def test_immutable(self, cls, fields, build, hashable):
+        record = build()
+        for name in (*fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_equal_values_equal_records(self, cls, fields, build, hashable):
+        a, b = build(), build()
+        assert a == b and a is not b
+        if hashable:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+
+
+def test_keyword_defaults():
+    assert TripleSpec(Family.PAS_F4).n is None
+    assert TripleSpec(Family.PAS_F4).k is None
+    assert TripleSpec(family=Family.BN_SPINOR, n=5) == TripleSpec(Family.BN_SPINOR, 5, None)
+
+
+def test_record_equals_its_plain_tuple():
+    assert TripleSpec(Family.PAS_F4) == (Family.PAS_F4, None, None)
+    assert SimpleFactor("G", 2) == ("G", 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SimpleFactor("D", 4), UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
+    (lambda: SimpleFactor("B", 1), ValueError, "rank 1 too small for series B"),
+    (lambda: SimpleFactor("G", 3), ValueError, "series G has rank 2"),
+    (lambda: DynkinType(()), ValueError, "Dynkin type needs at least one factor"),
+    (lambda: TripleSpec(Family.BN_SPINOR, n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
+    (lambda: TripleSpec(Family.BN_SPINOR, n=5, k=2), ValueError, "spinor family needs n >= 3 and takes no k"),
+    (lambda: TripleSpec(Family.CN, n=3, k=4), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+    (lambda: TripleSpec(Family.PAS_F4, n=1), ValueError, "family PasF4 takes no parameters"),
+], ids=["unsupported", "rank-too-small", "fixed-rank", "no-factor", "spinor-n", "spinor-k", "cn", "no-parameters"])
+def test_validation_messages(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_root_system_repr_leaves_out_the_positive_roots():
+    assert repr(build_root_system(DynkinType.parse("A1xG2"))) == (
+        "RootSystem(dynkin=DynkinType(factors=(SimpleFactor(series='A', rank=1), SimpleFactor(series='G', rank=2))),"
+        " cartan=((2, 0, 0), (0, 2, -1), (0, -3, 2)), symmetrizer=(1, 3, 1))"
+    )
