@@ -137,33 +137,6 @@ def factor_bond(f: SimpleFactor) -> tuple[int, int, int]:
     return _BOND[f.series](f.rank) if f.series in _BOND else (-1, -1, -1)
 
 
-def chain_entry(f: SimpleFactor, i: int, j: int) -> int:
-    """Cartan entry a[i][j] of two adjacent nodes of one factor, without building the matrix."""
-    short, long_, entry = factor_bond(f)
-    return entry if (i, j) == (short, long_) else -1
-
-
-def factor_cartan(f: SimpleFactor) -> list[list[int]]:
-    """Cartan matrix of one factor, a[i][j] = <alpha_j, alpha_i^vee>."""
-    n = f.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1], a[i + 1][i] = chain_entry(f, i, i + 1), chain_entry(f, i + 1, i)
-    return a
-
-
-def _factor_symmetrizer(f: SimpleFactor) -> list[int]:
-    """d_i = (alpha_i, alpha_i)/2 with short roots normalized to length^2 = 2.
-
-    So d_i is 1 on type A and on short nodes, and |a[short][long]| on long ones.
-    """
-    if f.series not in _BOND:
-        return [1] * f.rank
-    short, long_, entry = _BOND[f.series](f.rank)
-    # the nodes on the short node's side of the bond are the short roots
-    return [1 if (i - long_) * (short - long_) > 0 else -entry for i in range(f.rank)]
-
-
 class RootSystem(NamedTuple):
     dynkin: DynkinType
     cartan: tuple[tuple[int, ...], ...]
@@ -216,17 +189,23 @@ def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
-    """Build a root system with its Cartan data and full positive-root list."""
+    """Build a root system with its Cartan data, a[i][j] = <alpha_j, alpha_i^vee>, and full positive-root list."""
     n = dynkin.rank
     cartan = [[0] * n for _ in range(n)]
     symmetrizer: list[int] = []
     off = 0
     for f in dynkin.factors:
-        block = factor_cartan(f)
+        short, long_, bond = factor_bond(f)
         for i in range(f.rank):
-            for j in range(f.rank):
-                cartan[off + i][off + j] = block[i][j]
-        symmetrizer.extend(_factor_symmetrizer(f))
+            row = cartan[off + i]
+            row[off + i] = 2
+            for j in (i - 1, i + 1):
+                if 0 <= j < f.rank:
+                    row[off + j] = bond if (i, j) == (short, long_) else -1
+            # d_i = (alpha_i, alpha_i)/2 with short roots normalized to length^2 = 2,
+            # so d_i is 1 on the short node's side of the bond and |bond| on the long
+            # one; type A's (-1, -1, -1) gives 1 everywhere
+            symmetrizer.append(1 if (i - long_) * (short - long_) > 0 else -bond)
         off += f.rank
 
     return RootSystem(

@@ -10,7 +10,6 @@ from twoorbit.rootsys import (
     SimpleFactor,
     build_root_system,
     closure_from_cartan,
-    factor_cartan,
 )
 from oracles import anticanonical_weight, fano_index, flag_dimension, nilradical_roots
 from strategies import dynkin_products
@@ -239,7 +238,7 @@ RUN_FACTORS = (
 
 @pytest.mark.parametrize("factor", RUN_FACTORS, ids=str)
 def test_run_closed_forms_match_closure(factor):
-    cartan = factor_cartan(factor)
+    cartan = build_root_system(DynkinType((factor,))).cartan
     for lo in range(factor.rank):
         for hi in range(lo, factor.rank):
             roots = closure_from_cartan([row[lo : hi + 1] for row in cartan[lo : hi + 1]])

@@ -97,7 +97,9 @@ def test_bad_ranks_rejected(spec):
 
 
 # at rank 2 the B and C bonds sit at nodes 0-1, the edge of the short-side rule
-@pytest.mark.parametrize("spec", ["A3", "B2", "B3", "B12", "C2", "C3", "C12", "F4", "G2", "A1xG2"])
+@pytest.mark.parametrize(
+    "spec", ["A3", "B2", "B3", "B12", "C2", "C3", "C12", "F4", "G2", "A1xG2", "G2xA2", "C2xB3"]
+)
 def test_symmetrized_cartan_symmetric_positive_definite(spec):
     rs = rs_of(spec)
     n = rs.rank
@@ -140,6 +142,10 @@ def _det(mat):
         ("G2", (3, 1)),
         ("A1xG2", (1, 3, 1)),
         ("B2xG2", (2, 1, 3, 1)),
+        ("B2", (2, 1)),
+        ("C2", (1, 2)),
+        ("G2xA2", (3, 1, 1, 1)),
+        ("A2xC2xB2", (1, 1, 1, 2, 2, 1)),
     ],
 )
 def test_symmetrizer_is_integer_per_factor(spec, symmetrizer):
