@@ -35,9 +35,8 @@ from .rootsys import (
 
 FORMATS = ("md", "csv", "json")
 # roots and dim enumerate every positive root: on a 2-vCPU Xeon VM at this cap
-# `roots C100` takes about 3.2 s and `dim C100 1,...,1` about 3 s (22 s and
-# 26 s when every candidate was paired against all 100 nodes); flag uses the
-# diagram path and has no cap
+# `roots C100` takes about 0.5 s and `dim C100 1,...,1` about 0.3 s; flag uses
+# the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
 
 

@@ -152,40 +152,62 @@ class RootSystem(NamedTuple):
         return f"RootSystem(dynkin={self.dynkin!r}, cartan={self.cartan!r}, symmetrizer={self.symmetrizer!r})"
 
 
+# the largest coefficient of a root of any finite root system, at E8's highest
+# root; A, B, C, F4 and G2 stay at or below 4
+_MAX_COEFFICIENT = 6
+
+
 def closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Positive roots of an arbitrary Cartan matrix, by root-string closure.
+    """Positive roots of a finite-type Cartan matrix, by root-string closure.
 
     Starting from the simple roots, alpha + alpha_i is kept exactly when
-    <alpha, alpha_i^vee> minus the length of the descending alpha_i-string
-    through alpha is negative.  Products come out block-diagonal for free.
+    <alpha, alpha_i^vee> minus p_i, the length of the descending
+    alpha_i-string through alpha, is negative.  Products come out
+    block-diagonal for free.
 
-    Only the nodes i on the support of alpha, or with a[i][j] != 0 for some j
-    on it, are tried: for any other i both the pairing and the string length
-    are 0, so the rule rejects alpha + alpha_i anyway.  The pairing reads the
-    nonzero entries of row i only.
+    Each root of the current height carries two small dicts: its nonzero
+    coroot pairings {i: <alpha, alpha_i^vee>} and its nonzero string lengths
+    {i: p_i}.  Only their keys are tried: any other node has pairing 0 and
+    p_i 0, so the rule rejects it.  No string is probed: alpha + alpha_i
+    inherits alpha's pairings plus column i of the matrix and gets
+    p_i(alpha) + 1, and a root reached again from another root of the same
+    height records that p only.
+
+    A coefficient that would pass 6, the largest in any finite root system,
+    raises ValueError: the closure of a matrix not of finite type, such as
+    affine A1's, would otherwise never end.
     """
     n = len(cartan)
-    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
-    touching = [[i for i in range(n) if i == j or cartan[i][j]] for j in range(n)]
-    level = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-    known = set(level)
+    columns = [{k: cartan[k][i] for k in range(n) if cartan[k][i]} for i in range(n)]
+    level = {(0,) * i + (1,) + (0,) * (n - i - 1): (columns[i], {}) for i in range(n)}
+    # every root of a level has the same height, so sorting each level by its
+    # coefficients sorts the whole list by (height, coefficients)
+    roots = sorted(level)
     while level:
-        nxt = []
-        for m in level:
-            for i in {i for j, c in enumerate(m) if c for i in touching[j]}:
-                head, mi, tail = m[:i], m[i], m[i + 1 :]
-                cand = head + (mi + 1,) + tail
-                if cand in known:
+        nxt: dict[tuple[int, ...], tuple[dict[int, int], dict[int, int]]] = {}
+        for m, (pairings, strings) in level.items():
+            for i in pairings.keys() | strings.keys():
+                p = strings.get(i, 0)
+                if pairings.get(i, 0) - p >= 0:
                     continue
-                # descending alpha_i-string length through m
-                p = 0
-                while p < mi and head + (mi - p - 1,) + tail in known:
-                    p += 1
-                if sum(a * m[j] for j, a in sparse_rows[i]) - p < 0:
-                    known.add(cand)
-                    nxt.append(cand)
+                cand = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                reached = nxt.get(cand)
+                if reached:
+                    reached[1][i] = p + 1
+                    continue
+                if m[i] >= _MAX_COEFFICIENT:
+                    raise ValueError(
+                        f"not a Cartan matrix of finite type: a root coefficient passes {_MAX_COEFFICIENT}"
+                    )
+                sums = dict(pairings)
+                for k, a in columns[i].items():
+                    c = sums.pop(k, 0) + a
+                    if c:
+                        sums[k] = c
+                nxt[cand] = (sums, {i: p + 1})
+        roots += sorted(nxt)
         level = nxt
-    return sorted(known, key=lambda m: (sum(m), m))
+    return roots
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:

@@ -1,16 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoorbit
 from twoorbit.rootsys import (
     DynkinType,
     RootSystem,
     SimpleFactor,
     UnsupportedTypeError,
     build_root_system,
+    closure_from_cartan,
     weyl_dim,
 )
 from oracles import (
@@ -32,6 +38,7 @@ CLASSICAL_COUNTS = (
     + [(f"B{n}", n * n) for n in range(2, 13)]
     + [(f"C{n}", n * n) for n in range(2, 13)]
     + [("F4", 24), ("G2", 6), ("A1xG2", 7), ("A1", 1), ("B3xC2", 13)]
+    + [("A100", 5050), ("B100", 10000), ("C100", 10000)]
 )
 
 
@@ -40,7 +47,12 @@ def test_positive_root_counts(spec, count):
     assert len(rs_of(spec).positive_roots) == count
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2"])
+def test_rank_100_roots_come_out_by_height_then_coefficients():
+    roots = list(rs_of("C100").positive_roots)
+    assert roots == sorted(roots, key=lambda m: (sum(m), m))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2", "B20", "C20"])
 def test_roots_match_reflection_closure(spec):
     rs = rs_of(spec)
     assert set(rs.positive_roots) == reflection_closure_positive_roots(rs)
@@ -54,6 +66,56 @@ def test_closure_matches_reflection_closure_on_products(dynkin):
     assert set(roots) == reflection_closure_positive_roots(rs)
     assert len(roots) == len(set(roots))
     assert roots == sorted(roots, key=lambda m: (sum(m), m))
+
+
+def simply_laced_cartan(n, edges):
+    """The Cartan matrix on nodes 0..n-1 with a single bond on each edge."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    return cartan
+
+
+# D4 and E6-E8 (Bourbaki: node 1 hangs off node 3, 0-based) lie outside the
+# supported types, but the closure takes any finite-type matrix; E8's highest
+# root has the largest coefficient of any root system, 6 at node 3
+E_EDGES = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+
+
+@pytest.mark.parametrize(
+    "cartan,count,top",
+    [
+        (simply_laced_cartan(4, [(0, 1), (1, 2), (1, 3)]), 12, 2),
+        (simply_laced_cartan(6, E_EDGES[:5]), 36, 3),
+        (simply_laced_cartan(7, E_EDGES[:6]), 63, 4),
+        (simply_laced_cartan(8, E_EDGES), 120, 6),
+    ],
+    ids=["D4", "E6", "E7", "E8"],
+)
+def test_closure_of_other_finite_types(cartan, count, top):
+    roots = closure_from_cartan(cartan)
+    assert len(roots) == count
+    assert max(map(max, roots)) == top
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -3], [-3, 2]]],
+    ids=["affine A1", "affine A2", "hyperbolic rank 2"],
+)
+def test_closure_refuses_matrix_not_of_finite_type(cartan):
+    """Runs in a child with a timeout, so that a closure that never ends fails the test rather than hanging it."""
+    src = str(Path(twoorbit.__file__).resolve().parents[1])
+    code = (
+        "from twoorbit.rootsys import closure_from_cartan\n"
+        f"try:\n    closure_from_cartan({cartan!r})\n"
+        "except ValueError as exc:\n    print(exc)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=20,
+    ).stdout
+    assert out == "not a Cartan matrix of finite type: a root coefficient passes 6\n"
 
 
 @pytest.mark.parametrize("spec", ["A4", "B4", "C4", "F4", "G2", "A1xG2"])
