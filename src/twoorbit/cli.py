@@ -35,9 +35,13 @@ from .rootsys import (
 
 FORMATS = ("md", "csv", "json")
 # roots and dim enumerate every positive root: on a 2-vCPU Xeon VM at this cap
-# `roots C100` takes about 0.5 s and `dim C100 1,...,1` about 0.3 s; flag uses
-# the diagram path and has no cap
+# `roots C100` takes about 0.4 s and `dim C100 1,...,1` about 0.35 s, start-up
+# included; flag uses the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
+# lines per sys.stdout.write call.  With PYTHONUNBUFFERED set each print() is
+# two write(2) calls and a block is one.  The cap bounds the memory a block
+# holds: about 170 KB of the md table at --max-n 100
+_BLOCK_LINES = 1024
 
 
 class UsageError(ValueError):
@@ -56,6 +60,14 @@ def _printable():
         raise UsageError(
             f"cannot print the result: it has an integer of more than {sys.get_int_max_str_digits()} digits"
         ) from exc
+
+
+def _write_lines(lines) -> None:
+    """Write each string of `lines` and a newline to stdout, one write call per block of lines."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
 
 
 def _usage(call, arg):
@@ -115,14 +127,13 @@ def _parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
 
 def cmd_roots(args) -> int:
     rs = build_root_system(_enumerable_type(args.type))
-    print(f"type: {rs.dynkin}")
-    print("Cartan matrix:")
-    for row in rs.cartan:
-        print("  [" + " ".join(f"{v:3d}" for v in row) + "]")
-    print("positive roots (simple-root coordinates):")
-    for alpha in rs.positive_roots:
-        print("  (" + ",".join(map(str, alpha)) + ")")
-    print(f"count: {len(rs.positive_roots)}")
+    _write_lines(itertools.chain(
+        [f"type: {rs.dynkin}", "Cartan matrix:"],
+        ("  [" + " ".join(f"{v:3d}" for v in row) + "]" for row in rs.cartan),
+        ["positive roots (simple-root coordinates):"],
+        ("  (" + ",".join(map(str, alpha)) + ")" for alpha in rs.positive_roots),
+        [f"count: {len(rs.positive_roots)}"],
+    ))
     return 0
 
 
@@ -139,7 +150,7 @@ def cmd_flag(args) -> int:
         ]
         if len(anti) == 1:
             lines.append(f"index: {next(iter(anti.values()))}")
-    print("\n".join(lines))
+    _write_lines(lines)
     return 0
 
 
@@ -149,7 +160,7 @@ def cmd_dim(args) -> int:
     rs = build_root_system(dynkin)
     with _printable():
         line = str(weyl_dim(rs, weight))
-    print(line)
+    _write_lines([line])
     return 0
 
 
@@ -160,31 +171,41 @@ def cmd_table(args) -> int:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
     records = (report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n))
     if args.format == "json":
-        import json  # here only: the other commands do not pay for importing it
-
-        # one record at a time, byte for byte what json.dumps(list(records), indent=2) prints
-        encode = json.JSONEncoder(indent=2).encode
-        head = "["
-        for rec in records:
-            print(head, encode([rec])[2:-2], sep="\n", end="")
-            head = ","
-        print("\n]")
+        _write_lines(_json_lines(records))
         return 0
-    # csv prints the rows as they are rendered; md needs them all for the column widths
+    # csv writes the rows as they are rendered; md needs them all for the column widths
     rows = itertools.chain(
         [RECORD_FIELDS], (["" if v is None else str(v) for v in rec.values()] for rec in records)
     )
     if args.format == "csv":
-        for row in rows:
-            print(",".join(row))
+        _write_lines(map(",".join, rows))
         return 0
     rows = list(rows)
     widths = [max(map(len, map(itemgetter(i), rows))) for i in range(len(RECORD_FIELDS))]
-    for i, row in enumerate(rows):
-        print("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-        if i == 0:
-            print("|-" + "-|-".join("-" * w for w in widths) + "-|")
+    line = "| " + " | ".join(f"{{:<{w}}}" for w in widths) + " |"
+    rule = "|-" + "-|-".join("-" * w for w in widths) + "-|"
+    lines = itertools.starmap(line.format, rows)
+    _write_lines(itertools.chain([next(lines), rule], lines))
     return 0
+
+
+def _json_lines(records):
+    """The lines of json.dumps(list(records), indent=2), encoding one record at a time."""
+    import json  # here only: the other commands do not pay for importing it
+
+    encode = json.JSONEncoder(indent=2).encode
+    yield "["
+    last = None
+    for rec in records:
+        if last is not None:
+            yield last + ","
+        # encode([rec]) is "[\n  {\n    ...\n  }\n]": keep the record's lines and
+        # hold back its closing "  }" for the comma that the next record needs
+        *body, last = encode([rec])[2:-2].split("\n")
+        yield from body
+    if last is not None:
+        yield last
+    yield "]"
 
 
 def cmd_check(args) -> int:
@@ -192,7 +213,7 @@ def cmd_check(args) -> int:
     with _printable():
         rec = report_record(report)
         lines = [f"{key}: {'' if value is None else value}" for key, value in rec.items()]
-    print("\n".join(lines))
+    _write_lines(lines)
     return 0
 
 
@@ -201,9 +222,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
     mismatches = fixtures.verify(args.max_n)
     failed = {m.fixture for m in mismatches}
-    for m in mismatches:
-        print(str(m))
-    print(", ".join(f"{fid}: {'FAIL' if fid in failed else 'PASS'}" for fid in fixtures.FIXTURE_IDS))
+    summary = ", ".join(f"{fid}: {'FAIL' if fid in failed else 'PASS'}" for fid in fixtures.FIXTURE_IDS)
+    _write_lines(itertools.chain(map(str, mismatches), [summary]))
     return 1 if mismatches else 0
 
 

@@ -111,37 +111,36 @@ class Mismatch(NamedTuple):
         )
 
 
+_BL_H_COLUMNS = ("dim_Y", "c1_Y", "dim_Z", "c1_Z", "dim_X", "c1_X")
+# (fixture, column) of each cell _check_triple compares, in the order it reports them
+_CELLS = (("cf", "rank_F"), ("cf", "c1_F"), ("stab", "mu_F"), ("stab", "mu_Theta"), ("stab", "mu_F > mu_Theta"))
+_HORO_CELLS = (
+    *(("bl_h_num", column) for column in _BL_H_COLUMNS),
+    ("cf_num", "rank_EY"),
+    ("cf_num", "c1_EY"),
+    *_CELLS,
+)
+
+
 def _check_triple(t: TripleSpec) -> list[Mismatch]:
     r = stability_verdict(t)
     v = r.variety
     n, k = t.n, t.k
-    cells = []  # (fixture, column, expected, actual)
-
+    cells = _CELLS
+    expected = (*CF[t.family](n, k), *STAB[t.family](n, k))
+    actual = (v.rank_f, v.c1_f, r.mu_f, r.mu_theta, r.verdict is Verdict.UNSTABLE)
     if t.is_horospherical():
-        actuals = {
-            "dim_Y": v.dim_y,
-            "c1_Y": v.c1_y,
-            "dim_Z": v.dim_z,
-            "c1_Z": v.c1_z_scalar(),
-            "dim_X": v.dim_x,
-            "c1_X": v.r_x,
-        }
-        cells += [
-            ("bl_h_num", column, formula(n, k), actuals[column]) for column, formula in BL_H_NUM[t.family].items()
-        ]
-        rank_ey, c1_ey = CF_NUM[t.family](n, k)
-        cells += [("cf_num", "rank_EY", rank_ey, v.rank_ey), ("cf_num", "c1_EY", c1_ey, v.c1_ey)]
-
-    rank_f, c1_f = CF[t.family](n, k)
-    mu_f, mu_theta, unstable = STAB[t.family](n, k)
-    cells += [
-        ("cf", "rank_F", rank_f, v.rank_f),
-        ("cf", "c1_F", c1_f, v.c1_f),
-        ("stab", "mu_F", mu_f, r.mu_f),
-        ("stab", "mu_Theta", mu_theta, r.mu_theta),
-        ("stab", "mu_F > mu_Theta", unstable, r.verdict is Verdict.UNSTABLE),
+        formulas = BL_H_NUM[t.family]
+        cells = _HORO_CELLS
+        expected = (*(formulas[column](n, k) for column in _BL_H_COLUMNS), *CF_NUM[t.family](n, k), *expected)
+        actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, *actual)
+    if expected == actual:
+        return []
+    return [
+        Mismatch(fixture, t.triple_id, column, e, a)
+        for (fixture, column), e, a in zip(cells, expected, actual, strict=True)
+        if e != a
     ]
-    return [Mismatch(fixture, t.triple_id, column, e, a) for fixture, column, e, a in cells if e != a]
 
 
 def verify(max_n: int) -> list[Mismatch]:

@@ -76,6 +76,10 @@ class TripleSpec(_TripleSpecFields):
         return self.family not in _PINNED
 
 
+# the family of each name `parse_triple_id` reads, case-insensitively
+_FAMILY_BY_NAME = {f.value.lower(): f for f in Family}
+
+
 def parse_triple_id(text: str) -> TripleSpec:
     """Parse a triple id like "Bn:n=5", "Cn:n=4:k=3" or "PasF4"."""
     parts = text.split(":")
@@ -88,11 +92,11 @@ def parse_triple_id(text: str) -> TripleSpec:
         if key in kwargs:
             raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
         kwargs[key] = parse_decimal(val)
-    for fam in Family:
-        if fam.value.lower() == head.lower():
-            return TripleSpec(fam, **kwargs)
-    valid = ", ".join(f.value for f in Family)
-    raise ValueError(f"unknown triple family {head!r}; expected one of: {valid}")
+    family = _FAMILY_BY_NAME.get(head.lower())
+    if family is None:
+        valid = ", ".join(f.value for f in Family)
+        raise ValueError(f"unknown triple family {head!r}; expected one of: {valid}")
+    return TripleSpec(family, **kwargs)
 
 
 def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
@@ -164,18 +168,16 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dim_z, c1_z = flag_invariants(dynkin, z)
     dim_x = flag_invariants(dynkin, sorted({*y, *z}))[0] + 1
     c1_y = anti_y[y[0]]
-    rank_ey = c1_ey = None
-    if t.family in _PINNED:
-        r_x, rank_f, c1_f = _PINNED[t.family]
+    pinned = _PINNED.get(t.family)
+    if pinned is not None:
+        r_x, rank_f, c1_f = pinned
+        rank_ey = c1_ey = None
     else:
         # blow-up canonical formula applied to the drum contraction
         r_x = 2 * dim_x - dim_y - dim_z
         rank_ey, c1_ey = dim_x - dim_y, c1_y - (dim_x - dim_z)
         rank_f, c1_f = rank_ey, rank_ey - c1_ey
-    return VarietyInvariants(
-        dim_y=dim_y, dim_z=dim_z, dim_x=dim_x, c1_y=c1_y, c1_z=c1_z, r_x=r_x,
-        rank_f=rank_f, c1_f=c1_f, rank_ey=rank_ey, c1_ey=c1_ey,
-    )
+    return VarietyInvariants(dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey)
 
 
 def stability_verdict(t: TripleSpec) -> StabilityReport:
@@ -191,7 +193,7 @@ def stability_verdict(t: TripleSpec) -> StabilityReport:
         verdict = Verdict.STRICTLY_SEMISTABLE_BOUNDARY
     else:
         verdict = Verdict.STABLE
-    return StabilityReport(triple=t, variety=v, mu_f=mu_f, mu_theta=mu_theta, verdict=verdict)
+    return StabilityReport(t, v, mu_f, mu_theta, verdict)
 
 
 # --- report serialization ---------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import resource
@@ -297,6 +298,64 @@ def test_enumeration_stdout_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
+# the directory that holds the twoorbit package, for child processes
+SRC = str(Path(twoorbit.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--max-n", "12"),
+        ("table", "--max-n", "12", "--format", "csv"),
+        ("table", "--max-n", "12", "--format", "json"),
+        ("roots", "C12"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["PYTHONUNBUFFERED=1", "buffered"])
+def test_real_stdout_is_pinned(argv, unbuffered):
+    # capsys above replaces sys.stdout; here the bytes go through the real
+    # stream into a pipe, written through at once or buffered
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoorbit.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[argv]
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+# at most one write call per block of 1,024 lines: the md table at n <= 100
+# has 5,056 lines and roots C40 1,644
+@pytest.mark.parametrize(
+    "argv,most",
+    [
+        (("table", "--max-n", "100"), 6),
+        (("table", "--max-n", "100", "--format", "csv"), 6),
+        (("roots", "C40"), 3),
+    ],
+    ids=["table md", "table csv", "roots C40"],
+)
+def test_output_is_written_in_blocks(monkeypatch, argv, most):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    assert stdout.getvalue().count("\n") > 1600
+    assert stdout.writes <= most
+
+
 # the benchmark's correctness gate: each command's stdout, by size and sha256
 BENCH_REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
@@ -441,13 +500,12 @@ def _read_then_close(argv, lines):
     child may map 1 GB, so a command that builds its whole output first fails
     fast instead of filling the machine's memory.
     """
-    src = str(Path(twoorbit.__file__).resolve().parents[1])
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "twoorbit.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
     read = [proc.stdout.readline() for _ in range(lines)]

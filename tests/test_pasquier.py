@@ -253,6 +253,47 @@ class TestHugeRank:
         assert fixtures._check_triple(TripleSpec(Family.CN, n=HUGE_N, k=k)) == []
 
 
+class TestMismatchReport:
+    """A wrong closed form is reported cell by cell, in catalog order, then fixture and column order."""
+
+    @staticmethod
+    def patched(monkeypatch, table, family, **columns):
+        formulas = dict(table[family])
+        formulas.update(columns)
+        monkeypatch.setitem(table, family, formulas)
+
+    def test_bl_h_num(self, monkeypatch):
+        self.patched(monkeypatch, fixtures.BL_H_NUM, Family.CN, dim_Y=lambda n, k: 0)
+        assert fixtures.verify(3) == [
+            fixtures.Mismatch("bl_h_num", "Cn:n=2:k=2", "dim_Y", 0, 3),
+            fixtures.Mismatch("bl_h_num", "Cn:n=3:k=2", "dim_Y", 0, 7),
+            fixtures.Mismatch("bl_h_num", "Cn:n=3:k=3", "dim_Y", 0, 6),
+        ]
+
+    def test_cf_num(self, monkeypatch):
+        monkeypatch.setitem(fixtures.CF_NUM, Family.G2_HORO, lambda n, k: (2, 2))
+        assert fixtures.verify(3) == [fixtures.Mismatch("cf_num", "G2horo", "c1_EY", 2, 1)]
+
+    def test_cf_of_a_pinned_family(self, monkeypatch):
+        monkeypatch.setitem(fixtures.CF, Family.PAS_F4, lambda n, k: (7, 0))
+        assert fixtures.verify(3) == [fixtures.Mismatch("cf", "PasF4", "rank_F", 7, 8)]
+
+    def test_stab(self, monkeypatch):
+        monkeypatch.setitem(fixtures.STAB, Family.F4_HORO, lambda n, k: (Fraction(1, 3), Fraction(6, 23), False))
+        mismatches = fixtures.verify(3)
+        assert mismatches == [fixtures.Mismatch("stab", "F4horo", "mu_F > mu_Theta", False, True)]
+        assert str(mismatches[0]) == "stab[F4horo].mu_F > mu_Theta: expected False, actual True"
+
+    def test_cells_of_one_triple_keep_their_order(self, monkeypatch):
+        self.patched(monkeypatch, fixtures.BL_H_NUM, Family.G2_HORO, c1_X=lambda n, k: 5, dim_Y=lambda n, k: 6)
+        monkeypatch.setitem(fixtures.STAB, Family.G2_HORO, lambda n, k: (Fraction(1, 3), Fraction(4, 7), False))
+        assert fixtures.verify(3) == [
+            fixtures.Mismatch("bl_h_num", "G2horo", "dim_Y", 6, 5),
+            fixtures.Mismatch("bl_h_num", "G2horo", "c1_X", 5, 4),
+            fixtures.Mismatch("stab", "G2horo", "mu_F", Fraction(1, 3), Fraction(1, 2)),
+        ]
+
+
 class TestReportRecord:
     def test_scalar_row(self):
         rec = report_record(stability_verdict(TripleSpec(Family.F4_HORO)))
