@@ -29,6 +29,7 @@ from .rootsys import (
     check_highest_weight,
     node_labels,
     parse_decimal,
+    parse_nodes,
     weight_label,
     weyl_dim,
 )
@@ -70,10 +71,10 @@ def _write_lines(lines) -> None:
         sys.stdout.write("\n".join(block))
 
 
-def _usage(call, arg):
-    """call(arg), reporting the ValueError of bad input as a usage error."""
+def _usage(call, *args):
+    """call(*args), reporting the ValueError of bad input as a usage error."""
     try:
-        return call(arg)
+        return call(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -97,34 +98,6 @@ def _parse_weight(dynkin: DynkinType, text: str) -> tuple[int, ...]:
     return weight
 
 
-def _parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
-    """Node list grammar: 1-based within a factor, "f.i" for products; sorted global nodes out."""
-    offsets = dynkin.factor_offsets()
-    indices = set()
-    for token in text.split(","):
-        token = token.strip()
-        if len(dynkin.factors) == 1:
-            factor_pos, node_text = 1, token
-        else:
-            factor_text, dot, node_text = token.partition(".")
-            if not dot or not factor_text.isdecimal():
-                raise UsageError(
-                    f"node {token!r}: product types need factor-qualified nodes like 1.1"
-                )
-            factor_pos = _usage(parse_decimal, factor_text)
-        if not 1 <= factor_pos <= len(dynkin.factors):
-            raise UsageError(f"node {token!r}: factor out of range 1..{len(dynkin.factors)}")
-        factor = dynkin.factors[factor_pos - 1]
-        node = _usage(parse_decimal, node_text) if node_text.isdecimal() else 0
-        if not 1 <= node <= factor.rank:
-            raise UsageError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
-        index = offsets[factor_pos - 1] + node - 1
-        if index in indices:
-            raise UsageError(f"node {token!r} is marked twice")
-        indices.add(index)
-    return sorted(indices)
-
-
 def cmd_roots(args) -> int:
     rs = build_root_system(_enumerable_type(args.type))
     _write_lines(itertools.chain(
@@ -139,7 +112,7 @@ def cmd_roots(args) -> int:
 
 def cmd_flag(args) -> int:
     dynkin = _usage(DynkinType.parse, args.type)
-    dimension, anti = flag_invariants(dynkin, _parse_nodes(dynkin, args.mark))
+    dimension, anti = flag_invariants(dynkin, _usage(parse_nodes, dynkin, args.mark))
     with _printable():
         marked = ",".join(node_labels(dynkin, anti))
         lines = [

@@ -19,26 +19,31 @@ from .rootsys import DynkinType, factor_bond
 # weight is 2*rho - sum(Phi+(Levi)), which vanishes off the marked set.  Every
 # supported factor diagram is a chain, so the Levi splits into runs of
 # consecutive unmarked nodes, each of a type known in closed form, and only
-# the two end coefficients of a run's 2*rho touch the marked nodes.
-
-# runs of F4 and G2 that are neither of type A nor B_s ending at a short node
-_EXCEPTIONAL_RUNS = {
-    ("F", 1, 3): (9, 6, 6),  # C3, long node first
-    ("F", 0, 3): (24, 16, 22),
-    ("G", 0, 1): (6, 6, 10),
-}
+# the two end coefficients of a run's 2*rho touch the marked nodes.  The
+# factor's one multiple bond decides a run's type: a run without it is A_s, a
+# triple bond makes G2, a double bond strictly inside the run F4, and a double
+# bond at an end B_s if the node at that end is short and C_s if it is long.
 
 
-def _run_data(series: str, rank: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """(root count, first and last coefficient of 2*rho) of the Levi run lo..hi of one factor."""
-    if (series, lo, hi) in _EXCEPTIONAL_RUNS:
-        return _EXCEPTIONAL_RUNS[series, lo, hi]
+def _run_data(short: int, long_: int, bond: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(root count, first and last coefficient of 2*rho) of the Levi run lo..hi of one factor.
+
+    (short, long_, bond) is the factor's multiple bond, as factor_bond gives
+    it.  The closed forms below list the 2*rho ends from the long side of the
+    bond to the short side; a bond pointing the other way swaps them.
+    """
     s = hi - lo + 1
-    if series == "B" and hi == rank - 1 or series == "F" and hi == 2:
-        return s * s, 2 * s - 1, s * s
-    if series == "C" and hi == rank - 1 and s > 1:
-        return s * s, 2 * s, s * (s + 1) // 2
-    return s * (s + 1) // 2, s, s
+    if not (lo <= short <= hi and lo <= long_ <= hi):
+        return s * (s + 1) // 2, s, s
+    if bond == -3:
+        count, first, last = 6, 6, 10  # G2
+    elif short == lo or short == hi:
+        count, first, last = s * s, 2 * s - 1, s * s  # B_s
+    elif long_ == lo or long_ == hi:
+        count, first, last = s * s, s * (s + 1) // 2, 2 * s  # C_s
+    else:
+        count, first, last = 24, 16, 22  # F4
+    return (count, first, last) if long_ <= short else (count, last, first)
 
 
 def _refuse(dynkin: DynkinType, marked: Sequence[int]) -> NoReturn:
@@ -58,10 +63,10 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
     """
     dimension, anti, offset, start = 0, {}, 0, 0
     for f in dynkin.factors:
-        series, rank = f.series, f.rank
+        rank = f.rank
         short, long_, bond = factor_bond(f)
         end = bisect.bisect_left(marked, offset + rank, start)
-        dimension += _run_data(series, rank, 0, rank - 1)[0]
+        dimension += _run_data(short, long_, bond, 0, rank - 1)[0]
         left = -1  # local index of the marked node before the next run, -1 at the chain's start
         for node in (*marked[start:end], offset + rank):  # offset + rank stands for the chain's end
             i = node - offset
@@ -70,7 +75,7 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
             elif i > rank:  # only the chain's end may sit at i == rank
                 _refuse(dynkin, marked)
             if i > left + 1:  # the Levi run left+1..i-1
-                count, first, last = _run_data(series, rank, left + 1, i - 1)
+                count, first, last = _run_data(short, long_, bond, left + 1, i - 1)
                 dimension -= count
                 if left >= 0:
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)

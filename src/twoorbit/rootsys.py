@@ -112,6 +112,32 @@ def node_labels(dynkin: DynkinType, nodes: Iterable[int]) -> list[str]:
     return [f"{p}.{i - offsets[p - 1] + 1}" for i in nodes for p in [bisect.bisect_right(offsets, i)]]
 
 
+def parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
+    """Sorted global nodes of comma-separated labels as node_labels writes them, "i" or "f.i"."""
+    offsets = dynkin.factor_offsets()
+    indices = set()
+    for token in text.split(","):
+        token = token.strip()
+        if len(dynkin.factors) == 1:
+            factor_pos, node_text = 1, token
+        else:
+            factor_text, dot, node_text = token.partition(".")
+            if not dot or not factor_text.isdecimal():
+                raise ValueError(f"node {token!r}: product types need factor-qualified nodes like 1.1")
+            factor_pos = parse_decimal(factor_text)
+        if not 1 <= factor_pos <= len(dynkin.factors):
+            raise ValueError(f"node {token!r}: factor out of range 1..{len(dynkin.factors)}")
+        factor = dynkin.factors[factor_pos - 1]
+        node = parse_decimal(node_text) if node_text.isdecimal() else 0
+        if not 1 <= node <= factor.rank:
+            raise ValueError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
+        index = offsets[factor_pos - 1] + node - 1
+        if index in indices:
+            raise ValueError(f"node {token!r} is marked twice")
+        indices.add(index)
+    return sorted(indices)
+
+
 def weight_label(dynkin: DynkinType, weight: dict[int, int]) -> str:
     """Render a sparse weight {node: coefficient} like "3w1+5w3", or "2w1.1+5w2.2" for products."""
     terms = [f"{c}w{label}" for c, label in zip(weight.values(), node_labels(dynkin, weight)) if c]

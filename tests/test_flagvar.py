@@ -4,12 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twoorbit import rootsys
 from twoorbit.flagvar import _run_data, flag_invariants
 from twoorbit.rootsys import (
     DynkinType,
     SimpleFactor,
     build_root_system,
     closure_from_cartan,
+    factor_bond,
 )
 from oracles import anticanonical_weight, fano_index, flag_dimension, nilradical_roots
 from strategies import dynkin_products
@@ -236,14 +238,39 @@ RUN_FACTORS = (
 )
 
 
-@pytest.mark.parametrize("factor", RUN_FACTORS, ids=str)
-def test_run_closed_forms_match_closure(factor):
+def assert_run_closed_forms_match_closure(factor):
     cartan = build_root_system(DynkinType((factor,))).cartan
     for lo in range(factor.rank):
         for hi in range(lo, factor.rank):
             roots = closure_from_cartan([row[lo : hi + 1] for row in cartan[lo : hi + 1]])
             rho2 = [sum(r[j] for r in roots) for j in range(hi - lo + 1)]
-            assert _run_data(factor.series, factor.rank, lo, hi) == (len(roots), rho2[0], rho2[-1])
+            assert _run_data(*factor_bond(factor), lo, hi) == (len(roots), rho2[0], rho2[-1])
+
+
+@pytest.mark.parametrize("factor", RUN_FACTORS, ids=str)
+def test_run_closed_forms_match_closure(factor):
+    assert_run_closed_forms_match_closure(factor)
+
+
+def test_walk_follows_a_redrawn_bond_table(monkeypatch):
+    """With every multiple bond drawn the other way round, the walk still agrees with the oracle.
+
+    The bond table is then the only thing that says where a chain's multiple
+    bond sits, so a run type read from anything else would disagree here.
+    """
+    monkeypatch.setitem(rootsys._BOND, "B", lambda n: (0, 1, -2))
+    monkeypatch.setitem(rootsys._BOND, "C", lambda n: (1, 0, -2))
+    monkeypatch.setitem(rootsys._BOND, "F", lambda n: (1, 2, -2))
+    monkeypatch.setitem(rootsys._BOND, "G", lambda n: (0, 1, -3))
+    factors = [SimpleFactor(s, r) for s in "BC" for r in range(2, 8)]
+    factors += [SimpleFactor("F", 4), SimpleFactor("G", 2)]
+    for factor in factors:
+        rs = build_root_system(DynkinType((factor,)))
+        for size in range(1, factor.rank + 1):
+            for sub in itertools.combinations(range(factor.rank), size):
+                assert_diagram_matches_enumeration(rs, sub)
+    for factor in factors:
+        assert_run_closed_forms_match_closure(factor)
 
 
 @st.composite

@@ -17,6 +17,8 @@ from twoorbit.rootsys import (
     UnsupportedTypeError,
     build_root_system,
     closure_from_cartan,
+    node_labels,
+    parse_nodes,
     weyl_dim,
 )
 from oracles import (
@@ -50,6 +52,15 @@ def test_positive_root_counts(spec, count):
 def test_rank_100_roots_come_out_by_height_then_coefficients():
     roots = list(rs_of("C100").positive_roots)
     assert roots == sorted(roots, key=lambda m: (sum(m), m))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_node_labels_parse_back(data):
+    """parse_nodes reads the labels node_labels writes, in any order, back to sorted global nodes."""
+    dynkin = data.draw(dynkin_products())
+    nodes = data.draw(st.lists(st.integers(0, dynkin.rank - 1), min_size=1, unique=True))
+    assert parse_nodes(dynkin, ",".join(node_labels(dynkin, nodes))) == sorted(nodes)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2", "B20", "C20"])
