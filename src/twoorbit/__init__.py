@@ -18,6 +18,7 @@ from .pasquier import (
     enumerate_triples,
     parse_triple_id,
     report_record,
+    report_row,
     stability_verdict,
     variety_invariants,
 )
@@ -28,7 +29,7 @@ __all__ = [
     "flag_invariants",
     "Family", "StabilityReport", "TripleSpec",
     "VarietyInvariants", "Verdict", "enumerate_triples",
-    "parse_triple_id", "report_record", "stability_verdict",
+    "parse_triple_id", "report_record", "report_row", "stability_verdict",
     "variety_invariants",
 ]
 

@@ -12,7 +12,6 @@ import contextlib
 import itertools
 import os
 import sys
-from operator import itemgetter
 
 from . import fixtures
 from .flagvar import flag_invariants
@@ -21,6 +20,7 @@ from .pasquier import (
     enumerate_triples,
     parse_triple_id,
     report_record,
+    report_row,
     stability_verdict,
 )
 from .rootsys import (
@@ -39,6 +39,8 @@ FORMATS = ("md", "csv", "json")
 # `roots C100` takes about 0.4 s and `dim C100 1,...,1` about 0.35 s, start-up
 # included; flag uses the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
+# --max-n cap of table and verify; at it md `table` takes about 20 s and 95 MB
+MAX_CATALOG_N = 1000
 # lines per sys.stdout.write call.  With PYTHONUNBUFFERED set each print() is
 # two write(2) calls and a block is one.  The cap bounds the memory a block
 # holds: about 170 KB of the md table at --max-n 100
@@ -77,6 +79,20 @@ def _usage(call, *args):
         return call(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _catalog_bound(max_n: int) -> int:
+    """The --max-n of table and verify, refused below 3 or above MAX_CATALOG_N."""
+    if max_n < 3:
+        raise UsageError(f"--max-n must be at least 3, got {max_n}")
+    if max_n > MAX_CATALOG_N:
+        raise UsageError(f"--max-n must be at most {MAX_CATALOG_N}, got {max_n}")
+    return max_n
+
+
+def _cells(report) -> list[str]:
+    """The text of each value of `report_row(report)`: "" for None, str() for the rest."""
+    return ["" if v is None else str(v) for v in report_row(report)]
 
 
 def _enumerable_type(spec: str) -> DynkinType:
@@ -138,26 +154,25 @@ def cmd_dim(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.max_n < 3:
-        raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
+    max_n = _catalog_bound(args.max_n)
     if args.format not in FORMATS:
         raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
-    records = (report_record(stability_verdict(t)) for t in enumerate_triples(args.max_n))
+    reports = map(stability_verdict, enumerate_triples(max_n))
     if args.format == "json":
-        _write_lines(_json_lines(records))
+        _write_lines(_json_lines(map(report_record, reports)))
         return 0
-    # csv writes the rows as they are rendered; md needs them all for the column widths
-    rows = itertools.chain(
-        [RECORD_FIELDS], (["" if v is None else str(v) for v in rec.values()] for rec in records)
-    )
+    rows = itertools.chain([RECORD_FIELDS], map(_cells, reports))
     if args.format == "csv":
         _write_lines(map(",".join, rows))
         return 0
-    rows = list(rows)
-    widths = [max(map(len, map(itemgetter(i), rows))) for i in range(len(RECORD_FIELDS))]
+    # md needs every row for the column widths: it keeps each as its csv line
+    widths, kept = [0] * len(RECORD_FIELDS), []
+    for cells in rows:
+        widths = [*map(max, widths, map(len, cells))]
+        kept.append(",".join(cells))
     line = "| " + " | ".join(f"{{:<{w}}}" for w in widths) + " |"
     rule = "|-" + "-|-".join("-" * w for w in widths) + "-|"
-    lines = itertools.starmap(line.format, rows)
+    lines = (line.format(*text.split(",")) for text in kept)
     _write_lines(itertools.chain([next(lines), rule], lines))
     return 0
 
@@ -184,16 +199,13 @@ def _json_lines(records):
 def cmd_check(args) -> int:
     report = stability_verdict(_usage(parse_triple_id, args.triple_id))
     with _printable():
-        rec = report_record(report)
-        lines = [f"{key}: {'' if value is None else value}" for key, value in rec.items()]
+        lines = [f"{key}: {cell}" for key, cell in zip(RECORD_FIELDS, _cells(report))]
     _write_lines(lines)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.max_n < 3:
-        raise UsageError(f"--max-n must be at least 3, got {args.max_n}")
-    mismatches = fixtures.verify(args.max_n)
+    mismatches = fixtures.verify(_catalog_bound(args.max_n))
     failed = {m.fixture for m in mismatches}
     summary = ", ".join(f"{fid}: {'FAIL' if fid in failed else 'PASS'}" for fid in fixtures.FIXTURE_IDS)
     _write_lines(itertools.chain(map(str, mismatches), [summary]))

@@ -94,9 +94,6 @@ STAB = {
     Family.PAS_A1G2: lambda n, k: (Fraction(0), Fraction(6, 8), False),
 }
 
-FIXTURE_IDS = ("bl_h_num", "cf_num", "cf", "stab")
-
-
 class Mismatch(NamedTuple):
     fixture: str
     row: str
@@ -120,6 +117,7 @@ _HORO_CELLS = (
     ("cf_num", "c1_EY"),
     *_CELLS,
 )
+FIXTURE_IDS = tuple(dict.fromkeys(f for f, _ in _HORO_CELLS))  # in the order verify reports them
 
 
 def _check_triple(t: TripleSpec) -> list[Mismatch]:

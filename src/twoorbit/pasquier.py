@@ -206,11 +206,11 @@ RECORD_FIELDS = (
 )
 
 
-def report_record(r: StabilityReport) -> dict:
-    """Flatten a StabilityReport into one record keyed by RECORD_FIELDS, in that order."""
+def report_row(r: StabilityReport) -> tuple:
+    """The values of a StabilityReport in RECORD_FIELDS order."""
     t, v = r.triple, r.variety
     c1_z = v.c1_z_scalar()
-    return dict(zip(RECORD_FIELDS, (
+    return (
         t.triple_id, t.family.value, t.n, t.k,
         v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(_layout(t)[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
@@ -218,4 +218,9 @@ def report_record(r: StabilityReport) -> dict:
         f"{r.mu_f.numerator}/{r.mu_f.denominator}",
         f"{r.mu_theta.numerator}/{r.mu_theta.denominator}",
         r.verdict.value,
-    ), strict=True))
+    )
+
+
+def report_record(r: StabilityReport) -> dict:
+    """Flatten a StabilityReport into one record keyed by RECORD_FIELDS, in that order."""
+    return dict(zip(RECORD_FIELDS, report_row(r), strict=True))

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import twoorbit
 from twoorbit import cli, fixtures, rootsys
 from twoorbit.cli import RECORD_FIELDS, main
-from twoorbit.pasquier import enumerate_triples, report_record, stability_verdict
+from twoorbit.pasquier import enumerate_triples, parse_triple_id, report_record, stability_verdict
 
 
 def run_cli(capsys, *argv):
@@ -412,6 +413,27 @@ class TestTable:
         assert code == 2
         assert "at least 3" in err
 
+    def test_md_has_the_cells_of_csv(self, capsys):
+        _, md, _ = run_cli(capsys, "table", "--max-n", "12")
+        _, csv, _ = run_cli(capsys, "table", "--max-n", "12", "--format", "csv")
+        header, rule, *rows = md.splitlines()
+        assert set(rule) == {"|", "-"}
+        md_cells = [[cell.strip() for cell in line[2:-2].split(" | ")] for line in [header, *rows]]
+        assert md_cells == [line.split(",") for line in csv.splitlines()]
+
+    def test_md_keeps_lines_not_lists_of_cells(self, monkeypatch):
+        # on Python 3.11 the peak is 1.5 MB; a list of cells per row, as md once
+        # kept, peaks at about 6 MB.  tracemalloc slows the run about sixfold, hence n = 100
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                assert main(["table", "--max-n", "100"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * 2**20, f"md table at --max-n 100 peaked at {peak / 2**20:.1f} MB"
+
 
 class TestCheck:
     def test_single_triple(self, capsys):
@@ -452,6 +474,15 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and "invalid literal" not in err
 
+    @pytest.mark.parametrize(
+        "triple_id", ["Bn:n=5", "B3special", "Cn:n=4:k=3", "F4horo", "G2horo", "PasF4", "PasA1G2"]
+    )
+    def test_lines_are_the_cells_of_the_row(self, capsys, triple_id):
+        code, out, _ = run_cli(capsys, "check", triple_id)
+        assert code == 0
+        cells = cli._cells(stability_verdict(parse_triple_id(triple_id)))
+        assert out.splitlines() == [f"{k}: {c}" for k, c in zip(RECORD_FIELDS, cells, strict=True)]
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "check", "En:n=6")
         assert code == 2
@@ -478,6 +509,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--max-n", "2")
         assert code == 2
         assert "at least 3" in err
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+@pytest.mark.parametrize("max_n", [cli.MAX_CATALOG_N + 1, 10**6])
+def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
+    # fail at once, not after hours, if the catalog is started past the cap
+    monkeypatch.setattr(cli, "enumerate_triples", None)
+    monkeypatch.setattr(fixtures, "verify", None)
+    error = f"error: --max-n must be at most {cli.MAX_CATALOG_N}, got {max_n}\n"
+    assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", error)
 
 
 def test_missing_subcommand_exits_two():
@@ -528,8 +569,9 @@ def test_closed_stdout_exits_141_quietly():
     "argv,lines,first",
     [
         (["table", "--max-n", "300", "--format", "json"], 1, b"[\n"),
-        # about 5*10^9 triples: only a lazy catalog can print its first rows
-        (["table", "--max-n", "100000", "--format", "csv"], 3, b"triple,family,"),
+        # about 5*10^5 triples at the cap, 14 s in all: only a lazy catalog can
+        # print its first rows within the budget
+        (["table", "--max-n", str(cli.MAX_CATALOG_N), "--format", "csv"], 3, b"triple,family,"),
     ],
     ids=["json", "csv-huge"],
 )

@@ -7,6 +7,7 @@ import sympy
 from twoorbit import fixtures, pasquier
 from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
+    RECORD_FIELDS,
     Family,
     TripleSpec,
     Verdict,
@@ -14,6 +15,7 @@ from twoorbit.pasquier import (
     enumerate_triples,
     parse_triple_id,
     report_record,
+    report_row,
     stability_verdict,
     variety_invariants,
 )
@@ -294,7 +296,20 @@ class TestMismatchReport:
         ]
 
 
+# one triple of each family; PasA1G2's c1_Z is a weight label
+ONE_PER_FAMILY = ("Bn:n=5", "B3special", "Cn:n=4:k=3", "F4horo", "G2horo", "PasF4", "PasA1G2")
+
+
 class TestReportRecord:
+    @pytest.mark.parametrize("triple_id", ONE_PER_FAMILY)
+    def test_record_is_the_row_keyed_by_field(self, triple_id):
+        report = stability_verdict(parse_triple_id(triple_id))
+        row = report_row(report)
+        assert isinstance(row, tuple) and len(row) == len(RECORD_FIELDS)
+        record = report_record(report)
+        assert list(record) == list(RECORD_FIELDS)
+        assert record == dict(zip(RECORD_FIELDS, row))
+
     def test_scalar_row(self):
         rec = report_record(stability_verdict(TripleSpec(Family.F4_HORO)))
         assert rec == {
