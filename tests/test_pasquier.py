@@ -1,9 +1,16 @@
+import os
+import resource
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
+import twoorbit
 from twoorbit import fixtures, pasquier
 from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
@@ -53,6 +60,25 @@ class TestEnumeration:
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             enumerate_triples(2)
+
+    def test_first_triple_comes_before_the_rest_exist(self):
+        # about 5*10^17 triples: a list of them fails under the child's
+        # 1 GB address-space limit instead of filling the machine's memory
+        code = (
+            "from twoorbit.pasquier import enumerate_triples;"
+            " print(next(enumerate_triples(10**9)).triple_id)"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(twoorbit.__file__).resolve().parents[1])),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Bn:n=3\n", b"")
+        assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"
 
 
 class TestTripleIds:
