@@ -104,9 +104,9 @@ def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
     return itertools.chain(
-        (TripleSpec(Family.BN_SPINOR, n=n) for n in range(3, max_n + 1)),
+        (TripleSpec(Family.BN_SPINOR, n) for n in range(3, max_n + 1)),
         [TripleSpec(Family.B3_SPECIAL)],
-        (TripleSpec(Family.CN, n=n, k=k) for n in range(2, max_n + 1) for k in range(2, n + 1)),
+        (TripleSpec(Family.CN, n, k) for n in range(2, max_n + 1) for k in range(2, n + 1)),
         [TripleSpec(f) for f in (Family.F4_HORO, Family.G2_HORO, Family.PAS_F4, Family.PAS_A1G2)],
     )
 
@@ -166,7 +166,8 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, y, z = _layout(t)
     dim_y, anti_y = flag_invariants(dynkin, y)
     dim_z, c1_z = flag_invariants(dynkin, z)
-    dim_x = flag_invariants(dynkin, sorted({*y, *z}))[0] + 1
+    # Y and Z mark disjoint nodes; the walk refuses a repeated one
+    dim_x = flag_invariants(dynkin, sorted(y + z))[0] + 1
     c1_y = anti_y[y[0]]
     pinned = _PINNED.get(t.family)
     if pinned is not None:

@@ -14,7 +14,7 @@ import pytest
 import twoorbit
 from twoorbit import cli, fixtures, rootsys
 from twoorbit.cli import RECORD_FIELDS, main
-from twoorbit.pasquier import enumerate_triples, report_record, stability_verdict
+from twoorbit.pasquier import Family, enumerate_triples, report_record, stability_verdict
 
 
 def run_cli(capsys, *argv):
@@ -415,9 +415,17 @@ class TestTable:
         assert code == 2
         assert "at least 3" in err
 
+    def test_no_cell_holds_a_comma(self):
+        # csv joins a row's cells with commas and md splits that line again.
+        # The catalog at n <= 30 holds every family, PasA1G2 with its two-term
+        # weight label for c1_Z
+        rows = [RECORD_FIELDS, *(cli._cells(stability_verdict(t)) for t in enumerate_triples(30))]
+        assert {row[1] for row in rows[1:]} == {f.value for f in Family}
+        assert [cell for row in rows for cell in row if "," in cell] == []
+
     def test_md_keeps_lines_not_lists_of_cells(self, monkeypatch):
-        # on Python 3.11 the peak is 1.5 MB.  tracemalloc slows the run about
-        # sixfold, hence n = 100
+        # on Python 3.11 the peak is about 1.3 MB.  tracemalloc slows the run
+        # about sixfold, hence n = 100
         with open(os.devnull, "w") as devnull:
             monkeypatch.setattr(sys, "stdout", devnull)
             tracemalloc.start()
