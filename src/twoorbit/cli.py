@@ -3,6 +3,9 @@
 Subcommands: roots, flag, dim, table, check, verify.  Exit status is 0 on
 success, 1 on a verification mismatch, 2 on usage or parse errors, 141 when
 stdout is closed before all of the output is written.
+
+Every ValueError the library raises is a refused input: whichever command made
+the call, `main` reports it as one "error:" line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ _BLOCK_LINES = 1024
 _WIDTH_BATCH = 256
 
 
-class UsageError(ValueError):
-    pass
-
-
 @contextlib.contextmanager
 def _printable():
     """Render output in this block, refusing an integer past Python's int-to-str digit limit.
@@ -65,7 +64,7 @@ def _printable():
     try:
         yield
     except ValueError as exc:
-        raise UsageError(
+        raise ValueError(
             f"cannot print the result: it has an integer of more than {sys.get_int_max_str_digits()} digits"
         ) from exc
 
@@ -78,20 +77,12 @@ def _write_lines(lines) -> None:
         sys.stdout.write("\n".join(block))
 
 
-def _usage(call, *args):
-    """call(*args), reporting the ValueError of bad input as a usage error."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _catalog_bound(max_n: int) -> int:
     """The --max-n of table and verify, refused below 3 or above MAX_CATALOG_N."""
     if max_n < 3:
-        raise UsageError(f"--max-n must be at least 3, got {max_n}")
+        raise ValueError(f"--max-n must be at least 3, got {max_n}")
     if max_n > MAX_CATALOG_N:
-        raise UsageError(f"--max-n must be at most {MAX_CATALOG_N}, got {max_n}")
+        raise ValueError(f"--max-n must be at most {MAX_CATALOG_N}, got {max_n}")
     return max_n
 
 
@@ -101,9 +92,9 @@ def _cells(report) -> list[str]:
 
 
 def _enumerable_type(spec: str) -> DynkinType:
-    dynkin = _usage(DynkinType.parse, spec)
+    dynkin = DynkinType.parse(spec)
     if dynkin.rank > MAX_ENUMERATION_RANK:
-        raise UsageError(f"{dynkin} has rank {dynkin.rank}, above the limit of {MAX_ENUMERATION_RANK}")
+        raise ValueError(f"{dynkin} has rank {dynkin.rank}, above the limit of {MAX_ENUMERATION_RANK}")
     return dynkin
 
 
@@ -111,11 +102,11 @@ def _parse_weight(dynkin: DynkinType, text: str) -> tuple[int, ...]:
     """Comma-separated decimal coefficients, one per node, of a dominant weight."""
     tokens = [token.strip() for token in text.split(",")]
     if not all(token.removeprefix("-").isdecimal() for token in tokens):
-        raise UsageError(f"cannot parse weight {text!r}: coefficients must be decimal integers")
+        raise ValueError(f"cannot parse weight {text!r}: coefficients must be decimal integers")
     if len(tokens) != dynkin.rank:
-        raise UsageError(f"weight needs {dynkin.rank} coefficients, got {len(tokens)}")
-    weight = tuple(_usage(parse_decimal, token) for token in tokens)
-    _usage(check_highest_weight, weight)
+        raise ValueError(f"weight needs {dynkin.rank} coefficients, got {len(tokens)}")
+    weight = tuple(map(parse_decimal, tokens))
+    check_highest_weight(weight)
     return weight
 
 
@@ -132,8 +123,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    dynkin = _usage(DynkinType.parse, args.type)
-    dimension, anti = flag_invariants(dynkin, _usage(parse_nodes, dynkin, args.mark))
+    dynkin = DynkinType.parse(args.type)
+    dimension, anti = flag_invariants(dynkin, parse_nodes(dynkin, args.mark))
     with _printable():
         marked = ",".join(node_labels(dynkin, anti))
         lines = [
@@ -161,7 +152,7 @@ def cmd_dim(args) -> int:
 def cmd_table(args) -> int:
     max_n = _catalog_bound(args.max_n)
     if args.format not in FORMATS:
-        raise UsageError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
+        raise ValueError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
     reports = map(stability_verdict, enumerate_triples(max_n))
     if args.format == "json":
         _write_lines(_json_lines(map(report_record, reports)))
@@ -203,7 +194,7 @@ def _json_lines(records):
 
 
 def cmd_check(args) -> int:
-    report = stability_verdict(_usage(parse_triple_id, args.triple_id))
+    report = stability_verdict(parse_triple_id(args.triple_id))
     with _printable():
         lines = [f"{key}: {cell}" for key, cell in zip(RECORD_FIELDS, _cells(report))]
     _write_lines(lines)
@@ -263,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

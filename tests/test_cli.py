@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -10,11 +11,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoorbit
 from twoorbit import cli, fixtures, rootsys
 from twoorbit.cli import RECORD_FIELDS, main
 from twoorbit.pasquier import Family, enumerate_triples, report_record, stability_verdict
+from twoorbit.rootsys import node_labels
+from strategies import dynkin_products
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +184,11 @@ class TestFlag:
         code, _, err = run_cli(capsys, "flag", "B3", "--mark", "4")
         assert code == 2
         assert "1..3" in err
+
+    @pytest.mark.parametrize("mark", ["3.1", "0.1"])
+    def test_factor_out_of_range(self, capsys, mark):
+        expected = (2, "", f"error: node '{mark}': factor out of range 1..2\n")
+        assert run_cli(capsys, "flag", "A1xG2", "--mark", mark) == expected
 
     @pytest.mark.parametrize("mark", ["", ","])
     def test_empty_node(self, capsys, mark):
@@ -514,6 +524,14 @@ def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
     assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", error)
 
 
+def test_a_refusal_from_any_library_call_exits_two(capsys, monkeypatch):
+    # flag does not check the nodes it gives flag_invariants: main reports
+    # the walk's own ValueError as it reports the parser's
+    monkeypatch.setattr(cli, "parse_nodes", lambda dynkin, text: [2, 0])
+    expected = (2, "", "error: marked nodes [2, 0] must be nonempty and strictly increasing\n")
+    assert run_cli(capsys, "flag", "B3", "--mark", "1") == expected
+
+
 def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -574,3 +592,69 @@ def test_streamed_table_closed_early(argv, lines, first):
     assert read[0].startswith(first) and all(read)
     assert (code, err) == (141, b"")
     assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"
+
+
+# argument lists from the command grammar, real and bad.  roots and dim get a
+# real type of rank at most 12 or a bad one, which is refused before any root
+# is enumerated; flag also gets types of huge rank
+BAD_TYPES = ["E8", "Q9", "A0", "B1", "G3", "F4x", "xA1", "B\u00b2", "", "A101", "C500xG2", "A" + HUGE]
+HUGE_TYPES = ["B101", f"C{10**20}", "A1x" * 50 + "G2", "B1" + "0" * 3000]
+BAD_NODES = ["", "0", "99", "0.1", "3.1", "1.", ".1", "1.1.1", "x", "\u00b2", HUGE, "-1"]
+BAD_COEFFICIENTS = ["", "x", "-1", "--1", "1_0", "\u00b2", "9" * 4400, "9" * 3000]
+TRIPLE_IDS = [t.triple_id for t in enumerate_triples(6)] + [
+    "", "Bn", "bn:N=3", "Bn:n=2", "Cn:n=4:k=9", "Cn:n=4:k=3:k=3", "En:n=6", "PasF4:n=3", "Bn:n=--5",
+    "Bn:n=" + HUGE, "Bn:n=1" + "0" * 2200,
+]
+MAX_N = ["3", "4", "5", "6", "2", "1001", str(10**6), "x"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["roots", "flag", "dim", "table", "check", "verify"]))
+    if command in ("table", "verify"):
+        argv = [command]
+        if draw(st.booleans()):
+            argv += ["--max-n", draw(st.sampled_from(MAX_N))]
+        if command == "table" and draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["md", "csv", "json", "xml", ""]))]
+        return argv
+    if command == "check":
+        return [command, draw(st.sampled_from(TRIPLE_IDS))]
+    dynkin = draw(st.one_of(dynkin_products(), st.none()))
+    if dynkin is None:
+        spec, rank = draw(st.sampled_from(BAD_TYPES + (HUGE_TYPES if command == "flag" else []))), 2
+        labels = ["1", "2", "1.1"]
+    else:
+        spec, rank, labels = str(dynkin), dynkin.rank, node_labels(dynkin, range(dynkin.rank))
+    if command == "roots":
+        return [command, spec]
+    if command == "flag":
+        nodes = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            nodes.append(draw(st.sampled_from(BAD_NODES)))
+        return [command, spec, "--mark", ",".join(nodes)]
+    size = rank + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    weight = [str(c) for c in draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))]
+    if weight and draw(st.booleans()):
+        weight[draw(st.integers(0, len(weight) - 1))] = draw(st.sampled_from(BAD_COEFFICIENTS))
+    # without -- a weight that starts with - is an unknown option
+    return [command, spec, *draw(st.sampled_from([["--"], []])), ",".join(weight)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cli_argv())
+def test_main_returns_a_status_or_argparse_exits_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        # a refusal prints nothing but its one error line
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

@@ -242,6 +242,19 @@ class TestStability:
         for t in enumerate_triples(20):
             assert stability_verdict(t).verdict is not Verdict.STRICTLY_SEMISTABLE_BOUNDARY
 
+    @pytest.mark.parametrize(
+        "c1_f,verdict",
+        [(8, Verdict.STRICTLY_SEMISTABLE_BOUNDARY), (9, Verdict.UNSTABLE), (7, Verdict.STABLE)],
+    )
+    def test_pinned_foliation_decides_the_verdict(self, monkeypatch, c1_f, verdict):
+        # no catalog member lies on the boundary, so PasF4 (dim X = 23, r_X = 8)
+        # is given a foliation of rank 23: mu_Theta = 8/23 and mu_F = c1_F/23
+        monkeypatch.setitem(pasquier._PINNED, Family.PAS_F4, (8, 23, c1_f))
+        r = stability_verdict(TripleSpec(Family.PAS_F4))
+        assert (r.mu_f, r.mu_theta) == (Fraction(c1_f, 23), Fraction(8, 23))
+        assert r.verdict is verdict
+        assert report_row(r)[-3:] == (f"{c1_f}/23", "8/23", verdict.value)
+
 
 class TestOneEvaluationPerTriple:
     @pytest.fixture
