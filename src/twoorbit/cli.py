@@ -16,16 +16,10 @@ import itertools
 import os
 import sys
 
-from . import fixtures
+# pasquier and fixtures load lazily (see __init__): read their names at call
+# time, never from-import them, or every command pays for loading them
+from . import fixtures, pasquier
 from .flagvar import flag_invariants
-from .pasquier import (
-    RECORD_FIELDS,
-    enumerate_triples,
-    parse_triple_id,
-    report_record,
-    report_row,
-    stability_verdict,
-)
 from .rootsys import (
     DynkinType,
     build_root_system,
@@ -39,7 +33,7 @@ from .rootsys import (
 
 FORMATS = ("md", "csv", "json")
 # roots and dim enumerate every positive root: on a 2-vCPU Xeon VM at this cap
-# `roots C100` takes about 0.4 s and `dim C100 1,...,1` about 0.35 s, start-up
+# `roots C100` takes about 0.3 s and `dim C100 1,...,1` about 0.35 s, start-up
 # included; flag uses the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
 # --max-n cap of table and verify; at it md `table` takes about 20 s and 95 MB
@@ -87,8 +81,8 @@ def _catalog_bound(max_n: int) -> int:
 
 
 def _cells(report) -> list[str]:
-    """The text of each value of `report_row(report)`: "" for None, str() for the rest."""
-    return ["" if v is None else str(v) for v in report_row(report)]
+    """The text of each value of `pasquier.report_row(report)`: "" for None, str() for the rest."""
+    return ["" if v is None else str(v) for v in pasquier.report_row(report)]
 
 
 def _enumerable_type(spec: str) -> DynkinType:
@@ -112,11 +106,15 @@ def _parse_weight(dynkin: DynkinType, text: str) -> tuple[int, ...]:
 
 def cmd_roots(args) -> int:
     rs = build_root_system(_enumerable_type(args.type))
+    # one % template per line kind, built once for the rank: formatting a line
+    # through it costs about half of joining its numbers one by one
+    row = "  [" + " ".join(["%3d"] * rs.rank) + "]"
+    root = "  (" + ",".join(["%d"] * rs.rank) + ")"
     _write_lines(itertools.chain(
         [f"type: {rs.dynkin}", "Cartan matrix:"],
-        ("  [" + " ".join(f"{v:3d}" for v in row) + "]" for row in rs.cartan),
+        map(row.__mod__, rs.cartan),
         ["positive roots (simple-root coordinates):"],
-        ("  (" + ",".join(map(str, alpha)) + ")" for alpha in rs.positive_roots),
+        map(root.__mod__, rs.positive_roots),
         [f"count: {len(rs.positive_roots)}"],
     ))
     return 0
@@ -153,17 +151,17 @@ def cmd_table(args) -> int:
     max_n = _catalog_bound(args.max_n)
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
-    reports = map(stability_verdict, enumerate_triples(max_n))
+    reports = map(pasquier.stability_verdict, pasquier.enumerate_triples(max_n))
     if args.format == "json":
-        _write_lines(_json_lines(map(report_record, reports)))
+        _write_lines(_json_lines(map(pasquier.report_record, reports)))
         return 0
-    rows = itertools.chain([RECORD_FIELDS], map(_cells, reports))
+    rows = itertools.chain([pasquier.RECORD_FIELDS], map(_cells, reports))
     if args.format == "csv":
         _write_lines(map(",".join, rows))
         return 0
     # md needs every row for the column widths: it keeps each as its csv line
     # and widens the columns a batch of rows at a time, column by column
-    widths, kept = [0] * len(RECORD_FIELDS), []
+    widths, kept = [0] * len(pasquier.RECORD_FIELDS), []
     while batch := list(itertools.islice(rows, _WIDTH_BATCH)):
         widths = [max(w, max(map(len, column))) for w, column in zip(widths, zip(*batch))]
         kept += map(",".join, batch)
@@ -194,9 +192,9 @@ def _json_lines(records):
 
 
 def cmd_check(args) -> int:
-    report = stability_verdict(parse_triple_id(args.triple_id))
+    report = pasquier.stability_verdict(pasquier.parse_triple_id(args.triple_id))
     with _printable():
-        lines = [f"{key}: {cell}" for key, cell in zip(RECORD_FIELDS, _cells(report))]
+        lines = [f"{key}: {cell}" for key, cell in zip(pasquier.RECORD_FIELDS, _cells(report))]
     _write_lines(lines)
     return 0
 

@@ -44,17 +44,55 @@ def test_removed_names_are_not_exported():
     assert not hasattr(twoorbit.TripleSpec, "layout")
 
 
-def test_cli_import_loads_no_heavy_modules():
-    """`import twoorbit.cli` adds none of these to a bare interpreter's modules; each costs start-up time."""
+def _fresh(code: str, *argv: str) -> str:
+    """The stdout of `code` run with `argv` in a new interpreter that imports twoorbit from this checkout."""
     src = str(Path(twoorbit.__file__).resolve().parents[1])
-    code = "import sys; bare = set(sys.modules); import twoorbit.cli; print(*sorted(set(sys.modules) - bare))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     ).stdout
-    added = set(out.split())
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """`import twoorbit.cli` adds none of these to a bare interpreter's modules; each costs start-up time."""
+    code = "import sys; bare = set(sys.modules); import twoorbit.cli; print(*sorted(set(sys.modules) - bare))"
+    added = set(_fresh(code).split())
     assert "twoorbit.cli" in added
-    assert added & {"dataclasses", "inspect", "ast", "dis", "json"} == set()
+    assert added & {"dataclasses", "inspect", "ast", "dis", "json", "fractions", "decimal"} == set()
+
+
+@pytest.mark.parametrize("argv, loads_catalog", [
+    (["roots", "C3"], False),
+    (["dim", "C3", "1,0,0"], False),
+    (["flag", "B3", "--mark", "1"], False),
+    (["check", "Bn:n=5"], True),
+], ids=["roots", "dim", "flag", "check"])
+def test_only_catalog_commands_load_the_catalog(argv, loads_catalog):
+    """roots, dim and flag run no code of pasquier or fixtures, so they never import fractions."""
+    code = (
+        "import contextlib, io, sys; bare = set(sys.modules); from twoorbit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): status = cli.main(sys.argv[1:])\n"
+        "print(status, 'fractions' in set(sys.modules) - bare)"
+    )
+    assert _fresh(code, *argv).split() == ["0", str(loads_catalog)]
+
+
+def test_catalog_modules_are_registered_before_they_load():
+    """The benchmark's tracer wraps functions of the twoorbit modules in sys.modules after `import twoorbit.cli`."""
+    code = (
+        "import sys; bare = set(sys.modules); import twoorbit.cli; import twoorbit\n"
+        "print(*(name in sys.modules for name in ('twoorbit.pasquier', 'twoorbit.fixtures')))\n"
+        "print(*(hasattr(twoorbit, name) for name in sys.argv[1:]), 'fractions' in set(sys.modules) - bare)\n"
+        "twoorbit.pasquier.stability_verdict; print('fractions' in sys.modules)\n"
+        "from twoorbit import Family, stability_verdict\n"
+        "print(stability_verdict(twoorbit.TripleSpec(Family.BN_SPINOR, n=5)).verdict.name)"
+    )
+    assert _fresh(code, *REMOVED).splitlines() == [
+        "True True",
+        " ".join(["False"] * len(REMOVED) + ["False"]),
+        "True",
+        "UNSTABLE",
+    ]
 
 
 # --- the record contract ------------------------------------------------------

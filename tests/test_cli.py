@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import twoorbit
 from twoorbit import cli, fixtures, rootsys
-from twoorbit.cli import RECORD_FIELDS, main
-from twoorbit.pasquier import Family, enumerate_triples, report_record, stability_verdict
+from twoorbit.cli import main
+from twoorbit.pasquier import RECORD_FIELDS, Family, enumerate_triples, report_record, stability_verdict
 from twoorbit.rootsys import node_labels
 from strategies import dynkin_products
 
@@ -518,7 +518,7 @@ class TestVerify:
 @pytest.mark.parametrize("max_n", [cli.MAX_CATALOG_N + 1, 10**6])
 def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
     # fail at once, not after hours, if the catalog is started past the cap
-    monkeypatch.setattr(cli, "enumerate_triples", None)
+    monkeypatch.setattr(cli.pasquier, "enumerate_triples", None)
     monkeypatch.setattr(fixtures, "verify", None)
     error = f"error: --max-n must be at most {cli.MAX_CATALOG_N}, got {max_n}\n"
     assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", error)
