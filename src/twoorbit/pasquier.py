@@ -12,37 +12,45 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .flagvar import flag_invariants
 from .rootsys import DynkinType, SimpleFactor, parse_decimal, weight_label
 
 
 class Family(enum.Enum):
-    BN_SPINOR = "Bn"
-    B3_SPECIAL = "B3special"
-    CN = "Cn"
-    F4_HORO = "F4horo"
-    G2_HORO = "G2horo"
-    PAS_F4 = "PasF4"
-    PAS_A1G2 = "PasA1G2"
+    """A catalog family, in catalog order; each member holds the family's whole record.
 
+    `first_n`, `first_k`: the least n and k, or None where the family takes no
+    such parameter; k runs up to n.  `refusal`: the message for a triple outside
+    that domain.  `pinned`: (r_X, rank F, c1 F) of the two non-horospherical
+    varieties, to which the blow-up formula for r_X and the E_Y bundle do not
+    apply, else None; test_criterion_4 guards rank F = dim X - dim Y, that is
+    23 - 15 for PasF4 and 8 - 5 for PasA1G2.  `layout(n, k)`: the Dynkin type as
+    (series, rank) factor pairs, then the marked nodes of Y (always one) and of
+    Z, strictly increasing and 0-based global as `flag_invariants` takes them.
+    """
 
-# family -> (n, k) -> (Dynkin type as (series, rank) factor pairs, marked nodes
-# of Y, marked nodes of Z), each node tuple strictly increasing and 0-based
-# global as `flag_invariants` takes it; Y is always a single node.  `_layout` is
-# the one reader of this table.
-_FAMILY_TABLE = {
-    Family.BN_SPINOR: lambda n, k: ((("B", n),), (n - 2,), (n - 1,)),
-    Family.B3_SPECIAL: lambda n, k: ((("B", 3),), (0,), (2,)),
-    Family.CN: lambda n, k: ((("C", n),), (k - 1,), (k - 2,)),
-    Family.F4_HORO: lambda n, k: ((("F", 4),), (1,), (2,)),
-    Family.G2_HORO: lambda n, k: ((("G", 2),), (0,), (1,)),
-    Family.PAS_F4: lambda n, k: ((("F", 4),), (0,), (2,)),
+    BN_SPINOR = ("Bn", 3, None, "spinor family needs n >= 3 and takes no k", None,
+                 lambda n, k: ((("B", n),), (n - 2,), (n - 1,)))
+    B3_SPECIAL = ("B3special", None, None, None, None, lambda n, k: ((("B", 3),), (0,), (2,)))
+    CN = ("Cn", 2, 2, "C_n family needs n >= 2 and 2 <= k <= n", None,
+          lambda n, k: ((("C", n),), (k - 1,), (k - 2,)))
+    F4_HORO = ("F4horo", None, None, None, None, lambda n, k: ((("F", 4),), (1,), (2,)))
+    G2_HORO = ("G2horo", None, None, None, None, lambda n, k: ((("G", 2),), (0,), (1,)))
+    PAS_F4 = ("PasF4", None, None, None, (8, 8, 0), lambda n, k: ((("F", 4),), (0,), (2,)))
     # Y is the G2 contact manifold K(G2), on which the A1 factor acts
     # trivially; Z is P^1 x Q^5, the A1 node together with the short G2 node
-    Family.PAS_A1G2: lambda n, k: ((("A", 1), ("G", 2)), (1,), (0, 2)),
-}
+    PAS_A1G2 = ("PasA1G2", None, None, None, (6, 3, 0), lambda n, k: ((("A", 1), ("G", 2)), (1,), (0, 2)))
+
+    def __new__(cls, value, first_n, first_k, refusal, pinned, layout):
+        # the enum HOWTO's tuple-valued members: the value stays the name
+        member = object.__new__(cls)
+        member._value_ = value
+        member.first_n, member.first_k = first_n, first_k
+        member.refusal = refusal or f"family {value} takes no parameters"
+        member.pinned, member.layout = pinned, layout
+        return member
 
 
 class _TripleSpecFields(NamedTuple):
@@ -55,14 +63,14 @@ class TripleSpec(_TripleSpecFields):
     __slots__ = ()
 
     def __new__(cls, family: Family, n: int | None = None, k: int | None = None):
-        if family is Family.BN_SPINOR:
-            if n is None or n < 3 or k is not None:
-                raise ValueError("spinor family needs n >= 3 and takes no k")
-        elif family is Family.CN:
-            if n is None or k is None or n < 2 or not 2 <= k <= n:
-                raise ValueError("C_n family needs n >= 2 and 2 <= k <= n")
-        elif n is not None or k is not None:
-            raise ValueError(f"family {family.value} takes no parameters")
+        if type(family) is not Family:
+            valid = ", ".join(f.value for f in Family)
+            raise ValueError(f"unknown triple family {family!r}; expected one of: {valid}")
+        first_n, first_k = family.first_n, family.first_k
+        # type(x) is int refuses bool as well as float and Fraction
+        if not ((n is None if first_n is None else type(n) is int and n >= first_n)
+                and (k is None if first_k is None else type(k) is int and first_k <= k <= n)):
+            raise ValueError(family.refusal)
         return tuple.__new__(cls, (family, n, k))
 
     @property
@@ -73,7 +81,7 @@ class TripleSpec(_TripleSpecFields):
         return self.family.value + n + k
 
     def is_horospherical(self) -> bool:
-        return self.family not in _PINNED
+        return self.family.pinned is None
 
 
 # the family of each name `parse_triple_id` reads, case-insensitively
@@ -92,23 +100,23 @@ def parse_triple_id(text: str) -> TripleSpec:
         if key in kwargs:
             raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
         kwargs[key] = parse_decimal(val)
-    family = _FAMILY_BY_NAME.get(head.lower())
-    if family is None:
-        valid = ", ".join(f.value for f in Family)
-        raise ValueError(f"unknown triple family {head!r}; expected one of: {valid}")
-    return TripleSpec(family, **kwargs)
+    # an unknown name goes on as it is, and TripleSpec refuses it
+    return TripleSpec(_FAMILY_BY_NAME.get(head.lower(), head), **kwargs)
 
 
 def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
     """All catalog members with parameter n at most `max_n`, yielded in catalog order."""
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
-    return itertools.chain(
-        (TripleSpec(Family.BN_SPINOR, n) for n in range(3, max_n + 1)),
-        [TripleSpec(Family.B3_SPECIAL)],
-        (TripleSpec(Family.CN, n, k) for n in range(2, max_n + 1) for k in range(2, n + 1)),
-        [TripleSpec(f) for f in (Family.F4_HORO, Family.G2_HORO, Family.PAS_F4, Family.PAS_A1G2)],
+    return (
+        TripleSpec(f, n, k)
+        for f in Family for n in _parameters(f.first_n, max_n) for k in _parameters(f.first_k, n)
     )
+
+
+def _parameters(first: int | None, last: int | None) -> Iterable[int | None]:
+    """The values a parameter takes: first to last, or only None where the family takes none."""
+    return (None,) if first is None else range(first, last + 1)
 
 
 class VarietyInvariants(NamedTuple):
@@ -146,19 +154,9 @@ class StabilityReport(NamedTuple):
     verdict: Verdict
 
 
-# The two non-horospherical varieties, family -> (r_X, rank F, c1 F).  The
-# blow-up canonical formula for r_X and the E_Y bundle apply only to the
-# horospherical drums, so these values are pinned.  test_criterion_4 guards
-# them: rank F = dim X - dim Y, that is 23 - 15 for PasF4 and 8 - 5 for PasA1G2.
-_PINNED = {
-    Family.PAS_F4: (8, 8, 0),
-    Family.PAS_A1G2: (6, 3, 0),
-}
-
-
 def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
     """The Dynkin type and the Y and Z marked-node tuples of a triple."""
-    factors, y, z = _FAMILY_TABLE[t.family](t.n, t.k)
+    factors, y, z = t.family.layout(t.n, t.k)
     return DynkinType(tuple(itertools.starmap(SimpleFactor, factors))), y, z
 
 
@@ -169,7 +167,7 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
     dim_x = flag_invariants(dynkin, sorted(y + z))[0] + 1
     c1_y = anti_y[y[0]]
-    pinned = _PINNED.get(t.family)
+    pinned = t.family.pinned
     if pinned is not None:
         r_x, rank_f, c1_f = pinned
         rank_ey = c1_ey = None

@@ -159,7 +159,16 @@ def test_record_equals_its_plain_tuple():
     (lambda: TripleSpec(Family.BN_SPINOR, n=5, k=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, n=3, k=4), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
     (lambda: TripleSpec(Family.PAS_F4, n=1), ValueError, "family PasF4 takes no parameters"),
-], ids=["unsupported", "rank-too-small", "fixed-rank", "no-factor", "spinor-n", "spinor-k", "cn", "no-parameters"])
+    (lambda: TripleSpec("Bn", 5), ValueError,
+     "unknown triple family 'Bn'; expected one of: Bn, B3special, Cn, F4horo, G2horo, PasF4, PasA1G2"),
+    (lambda: TripleSpec(Family.BN_SPINOR, 5.5), ValueError, "spinor family needs n >= 3 and takes no k"),
+    (lambda: TripleSpec(Family.BN_SPINOR, True), ValueError, "spinor family needs n >= 3 and takes no k"),
+    (lambda: TripleSpec(Family.CN, 4, 2.5), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+    (lambda: TripleSpec(Family.CN, Fraction(4), 2), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+], ids=[
+    "unsupported", "rank-too-small", "fixed-rank", "no-factor", "spinor-n", "spinor-k", "cn", "no-parameters",
+    "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
+])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as exc:
         build()

@@ -61,6 +61,22 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_triples(2)
 
+    def test_validation_and_enumeration_agree_on_the_domain(self):
+        # the domain is stated once, in each Family member: a triple is
+        # accepted exactly when enumeration yields it
+        catalog = set(enumerate_triples(15))
+        values = [None, *range(-1, 16)]
+        for f in Family:
+            for n in values:
+                for k in values:
+                    try:
+                        TripleSpec(f, n, k)
+                    except ValueError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    assert accepted == ((f, n, k) in catalog), (f, n, k)
+
     def test_first_triple_comes_before_the_rest_exist(self):
         # about 5*10^17 triples: a list of them fails under the child's
         # 1 GB address-space limit instead of filling the machine's memory
@@ -249,11 +265,25 @@ class TestStability:
     def test_pinned_foliation_decides_the_verdict(self, monkeypatch, c1_f, verdict):
         # no catalog member lies on the boundary, so PasF4 (dim X = 23, r_X = 8)
         # is given a foliation of rank 23: mu_Theta = 8/23 and mu_F = c1_F/23
-        monkeypatch.setitem(pasquier._PINNED, Family.PAS_F4, (8, 23, c1_f))
+        monkeypatch.setattr(Family.PAS_F4, "pinned", (8, 23, c1_f))
         r = stability_verdict(TripleSpec(Family.PAS_F4))
         assert (r.mu_f, r.mu_theta) == (Fraction(c1_f, 23), Fraction(8, 23))
         assert r.verdict is verdict
         assert report_row(r)[-3:] == (f"{c1_f}/23", "8/23", verdict.value)
+
+
+def test_colour_route_to_the_fano_index():
+    # Brion's anticanonical divisor of a spherical variety X is the sum of its
+    # G-stable prime divisors plus a_D D over the colours D; for horospherical
+    # X, a_D is the -K coefficient of G/P_{Y u Z} at D's node (Pasquier 2008).
+    # Y and Z have codimension at least 2, so X has no G-stable prime divisor,
+    # and each colour generates Pic X: r_X is the sum of those coefficients.
+    # For PasF4 (3 + 5) and PasA1G2 (2 + 2 + 2) the match is only an
+    # observation; it guards Family.pinned and does not replace it.
+    for t in enumerate_triples(100):
+        dynkin, y, z = _layout(t)
+        colours = flag_invariants(dynkin, sorted(y + z))[1]
+        assert sum(colours.values()) == variety_invariants(t).r_x, t.triple_id
 
 
 class TestOneEvaluationPerTriple:

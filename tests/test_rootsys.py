@@ -325,6 +325,17 @@ class TestWeylDim:
             swapped = lam[2:] + lam[:2]
             assert weyl_dim(ab, lam) == weyl_dim(ba, swapped)
 
+    def test_refuses_a_dimension_at_the_digit_limit_estimate(self):
+        # A1 with c = 2**(L+1) - 1 has one ratio, 2**(L+1)/1: the estimate is
+        # exactly L, the bit length of 10**limit, so the result cannot print
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no int/str digit limit")
+        bits = (10**limit).bit_length()
+        with pytest.raises(ValueError) as exc:
+            weyl_dim(rs_of("A1"), [2 ** (bits + 1) - 1])
+        assert str(exc.value) == f"the dimension has more than {limit} digits"
+
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             weyl_dim(rs_of("G2"), (-1, 0))
