@@ -36,8 +36,9 @@ FORMATS = ("md", "csv", "json")
 # `roots C100` takes about 0.3 s and `dim C100 1,...,1` about 0.35 s, start-up
 # included; flag uses the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
-# --max-n cap of table and verify; at it md `table` takes about 20 s and 95 MB
-# of RSS on a shared 2-vCPU VM, csv about 16 s and 15 MB
+# --max-n cap of table and verify, about 500,000 triples.  md `table` holds
+# every row before it prints, so the cap bounds its memory, and it bounds the
+# run time of every format; README gives both at the cap
 MAX_CATALOG_N = 1000
 # lines per sys.stdout.write call.  With PYTHONUNBUFFERED set each print() is
 # two write(2) calls and a block is one.  The cap bounds the memory a block

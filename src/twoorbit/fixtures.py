@@ -123,14 +123,14 @@ FIXTURE_IDS = tuple(dict.fromkeys(f for f, _ in _HORO_CELLS))  # in the order ve
 def _check_triple(t: TripleSpec) -> list[Mismatch]:
     r = stability_verdict(t)
     v = r.variety
-    n, k = t.n, t.k
+    family, n, k = t
     cells = _CELLS
-    expected = (*CF[t.family](n, k), *STAB[t.family](n, k))
+    expected = (*CF[family](n, k), *STAB[family](n, k))
     actual = (v.rank_f, v.c1_f, r.mu_f, r.mu_theta, r.verdict is Verdict.UNSTABLE)
-    if t.is_horospherical():
-        formulas = BL_H_NUM[t.family]
+    if family.pinned is None:  # horospherical
+        formulas = BL_H_NUM[family]
         cells = _HORO_CELLS
-        expected = (*(formulas[column](n, k) for column in _BL_H_COLUMNS), *CF_NUM[t.family](n, k), *expected)
+        expected = (*(formulas[column](n, k) for column in _BL_H_COLUMNS), *CF_NUM[family](n, k), *expected)
         actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, *actual)
     if expected == actual:
         return []

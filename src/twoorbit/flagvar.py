@@ -61,30 +61,47 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
     empty, unsorted or out-of-range list raises ValueError.  -K is sparse,
     {marked node: coefficient} in node order.
     """
-    dimension, anti, offset, start = 0, {}, 0, 0
+    return _walk(dynkin, (marked,))[0]
+
+
+def _walk(dynkin: DynkinType, markings: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
+    """flag_invariants of each node list in `markings`, reading each factor's bond and root count once.
+
+    The first list the walk refuses raises its ValueError.
+    """
+    factors = []
     for f in dynkin.factors:
         rank = f.rank
         short, long_, bond = factor_bond(f)
-        end = bisect.bisect_left(marked, offset + rank, start)
-        dimension += _run_data(short, long_, bond, 0, rank - 1)[0]
-        left = -1  # local index of the marked node before the next run, -1 at the chain's start
-        for node in (*marked[start:end], offset + rank):  # offset + rank stands for the chain's end
-            i = node - offset
-            if i < rank:
+        factors.append((rank, short, long_, bond, _run_data(short, long_, bond, 0, rank - 1)[0]))
+    results = []
+    for marked in markings:
+        dimension, anti, offset, start = 0, {}, 0, 0
+        for rank, short, long_, bond, total in factors:
+            end = bisect.bisect_left(marked, offset + rank, start)
+            dimension += total
+            left = -1  # local index of the marked node before the next run, -1 at the chain's start
+            for node in marked[start:end]:
+                i = node - offset
+                if i >= rank:  # only an unsorted list gets here
+                    _refuse(dynkin, marked)
                 anti[node] = 2
-            elif i > rank:  # only the chain's end may sit at i == rank
-                _refuse(dynkin, marked)
-            if i > left + 1:  # the Levi run left+1..i-1
-                count, first, last = _run_data(short, long_, bond, left + 1, i - 1)
+                if i > left + 1:  # the Levi run left+1..i-1
+                    count, first, last = _run_data(short, long_, bond, left + 1, i - 1)
+                    dimension -= count
+                    if left >= 0:
+                        anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
+                    anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
+                elif i <= left:  # a repeat or a step back
+                    _refuse(dynkin, marked)
+                left = i
+            if left < rank - 1:  # the Levi run left+1..rank-1 at the chain's end
+                count, first, _ = _run_data(short, long_, bond, left + 1, rank - 1)
                 dimension -= count
                 if left >= 0:
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
-                if i < rank:
-                    anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
-            elif i <= left:  # a repeat or a step back
-                _refuse(dynkin, marked)
-            left = i
-        offset, start = offset + rank, end
-    if start < len(marked) or not marked:  # nodes past the last factor, or none
-        _refuse(dynkin, marked)
-    return dimension, anti
+            offset, start = offset + rank, end
+        if start < len(marked) or not marked:  # nodes past the last factor, or none
+            _refuse(dynkin, marked)
+        results.append((dimension, anti))
+    return results

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .flagvar import flag_invariants
+from .flagvar import _walk
 from .rootsys import DynkinType, SimpleFactor, parse_decimal, weight_label
 
 
@@ -52,6 +52,13 @@ class Family(enum.Enum):
         member.pinned, member.layout = pinned, layout
         return member
 
+    # Enum hashes a member by its name, in Python, and `fixtures.verify` looks
+    # up four Family-keyed tables per triple.  Members are singletons, which
+    # pickle and deepcopy keep, so identity hashing finds the same rows.  It
+    # differs from one process to the next: no output may depend on iterating
+    # a set of Family members or of TripleSpecs, and none does.
+    __hash__ = object.__hash__
+
 
 class _TripleSpecFields(NamedTuple):
     family: Family
@@ -78,7 +85,7 @@ class TripleSpec(_TripleSpecFields):
         """The id `parse_triple_id` reads back: the family, then each parameter that is set."""
         n = "" if self.n is None else f":n={self.n}"
         k = "" if self.k is None else f":k={self.k}"
-        return self.family.value + n + k
+        return self.family._value_ + n + k
 
     def is_horospherical(self) -> bool:
         return self.family.pinned is None
@@ -106,6 +113,9 @@ def parse_triple_id(text: str) -> TripleSpec:
 
 def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
     """All catalog members with parameter n at most `max_n`, yielded in catalog order."""
+    # checked here, not left to range() at the first next() of the generator
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
     return (
@@ -162,10 +172,9 @@ def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, y, z = _layout(t)
-    dim_y, anti_y = flag_invariants(dynkin, y)
-    dim_z, c1_z = flag_invariants(dynkin, z)
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
-    dim_x = flag_invariants(dynkin, sorted(y + z))[0] + 1
+    (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) = _walk(dynkin, (y, z, sorted(y + z)))
+    dim_x = dim_yz + 1
     c1_y = anti_y[y[0]]
     pinned = t.family.pinned
     if pinned is not None:
@@ -209,14 +218,18 @@ def report_row(r: StabilityReport) -> tuple:
     """The values of a StabilityReport in RECORD_FIELDS order."""
     t, v = r.triple, r.variety
     c1_z = v.c1_z_scalar()
+    # on Python 3.10-3.13 Enum.value, Fraction.numerator and .denominator are
+    # Python-level properties, about eight calls a row.  _value_ is where the
+    # enum HOWTO stores a member's value (Family.__new__ sets it), and
+    # as_integer_ratio() reads both ints of a Fraction in one call
     return (
-        t.triple_id, t.family.value, t.n, t.k,
+        t.triple_id, t.family._value_, t.n, t.k,
         v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(_layout(t)[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
         v.rank_ey, v.c1_ey, v.rank_f, v.c1_f,
-        f"{r.mu_f.numerator}/{r.mu_f.denominator}",
-        f"{r.mu_theta.numerator}/{r.mu_theta.denominator}",
-        r.verdict.value,
+        "%d/%d" % r.mu_f.as_integer_ratio(),
+        "%d/%d" % r.mu_theta.as_integer_ratio(),
+        r.verdict._value_,
     )
 
 

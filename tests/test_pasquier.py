@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -57,9 +59,21 @@ class TestEnumeration:
         triples = list(enumerate_triples(12))
         assert len(triples) == len(set(triples))
 
-    def test_rejects_small_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_triples(2)
+    @pytest.mark.parametrize(
+        "max_n, message",
+        [
+            (2, "max_n must be at least 3, got 2"),
+            (10.0, "max_n must be an int, got 10.0"),
+            (3.5, "max_n must be an int, got 3.5"),
+            ("5", "max_n must be an int, got '5'"),
+        ],
+        ids=["2", "float", "fractional", "str"],
+    )
+    def test_rejects_small_bound(self, max_n, message):
+        # refused at the call, not at the first next() of the generator
+        with pytest.raises(ValueError) as exc:
+            enumerate_triples(max_n)
+        assert str(exc.value) == message
 
     def test_validation_and_enumeration_agree_on_the_domain(self):
         # the domain is stated once, in each Family member: a triple is
@@ -284,6 +298,21 @@ def test_colour_route_to_the_fano_index():
         dynkin, y, z = _layout(t)
         colours = flag_invariants(dynkin, sorted(y + z))[1]
         assert sum(colours.values()) == variety_invariants(t).r_x, t.triple_id
+
+
+@pytest.mark.parametrize(
+    "copy_member", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_family_hashes_by_identity(copy_member):
+    # a pickled or deep-copied member is the member itself, so it finds its
+    # rows in the Family-keyed fixture tables
+    for f in Family:
+        g = copy_member(f)
+        assert g is f and hash(g) == object.__hash__(f)
+        tables = (fixtures.CF, fixtures.STAB, *((fixtures.BL_H_NUM,) if f.pinned is None else ()))
+        assert all(table[g] is table[f] for table in tables)
+    t = TripleSpec(Family.CN, 5, 3)
+    assert hash(copy_member(t)) == hash(t)
 
 
 class TestOneEvaluationPerTriple:
