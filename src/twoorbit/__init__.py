@@ -39,7 +39,7 @@ _PASQUIER_EXPORTS = (
     "Family", "StabilityReport", "TripleSpec",
     "VarietyInvariants", "Verdict", "enumerate_triples",
     "parse_triple_id", "report_record", "report_row", "stability_verdict",
-    "variety_invariants",
+    "stability_verdicts", "variety_invariants",
 )
 
 __all__ = [

@@ -152,7 +152,7 @@ def cmd_table(args) -> int:
     max_n = _catalog_bound(args.max_n)
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}; valid formats: {', '.join(FORMATS)}")
-    reports = map(pasquier.stability_verdict, pasquier.enumerate_triples(max_n))
+    reports = pasquier.stability_verdicts(pasquier.enumerate_triples(max_n))
     if args.format == "json":
         _write_lines(_json_lines(map(pasquier.report_record, reports)))
         return 0

@@ -2,8 +2,9 @@
 
 The closed forms below are transcriptions of the published invariant tables
 for the two-orbit catalog.  `verify` recomputes every value from the Dynkin
-diagram alone, through `stability_verdict` and the diagram path of `flagvar`,
-and reports each mismatch as (table, row, column, expected, actual).
+diagram alone, through `stability_verdicts`, which walks the diagram once per
+run of catalog triples on one Dynkin type, and reports each mismatch as
+(table, row, column, expected, actual).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from typing import NamedTuple
 
 from .pasquier import (
     Family,
-    TripleSpec,
+    StabilityReport,
     Verdict,
     enumerate_triples,
-    stability_verdict,
+    stability_verdicts,
 )
 
 # dim_Y, c1_Y, dim_Z, c1_Z, dim_X, c1_X as functions of (n, k)
@@ -109,7 +110,7 @@ class Mismatch(NamedTuple):
 
 
 _BL_H_COLUMNS = ("dim_Y", "c1_Y", "dim_Z", "c1_Z", "dim_X", "c1_X")
-# (fixture, column) of each cell _check_triple compares, in the order it reports them
+# (fixture, column) of each cell _check_report compares, in the order it reports them
 _CELLS = (("cf", "rank_F"), ("cf", "c1_F"), ("stab", "mu_F"), ("stab", "mu_Theta"), ("stab", "mu_F > mu_Theta"))
 _HORO_CELLS = (
     *(("bl_h_num", column) for column in _BL_H_COLUMNS),
@@ -120,9 +121,8 @@ _HORO_CELLS = (
 FIXTURE_IDS = tuple(dict.fromkeys(f for f, _ in _HORO_CELLS))  # in the order verify reports them
 
 
-def _check_triple(t: TripleSpec) -> list[Mismatch]:
-    r = stability_verdict(t)
-    v = r.variety
+def _check_report(r: StabilityReport) -> list[Mismatch]:
+    t, v = r.triple, r.variety
     family, n, k = t
     cells = _CELLS
     expected = (*CF[family](n, k), *STAB[family](n, k))
@@ -144,6 +144,6 @@ def _check_triple(t: TripleSpec) -> list[Mismatch]:
 def verify(max_n: int) -> list[Mismatch]:
     """Recompute every fixture value for the catalog up to `max_n`."""
     mismatches = []
-    for t in enumerate_triples(max_n):
-        mismatches.extend(_check_triple(t))
+    for r in stability_verdicts(enumerate_triples(max_n)):
+        mismatches.extend(_check_report(r))
     return mismatches

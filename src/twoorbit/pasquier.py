@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -173,7 +174,35 @@ def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     dynkin, y, z = _layout(t)
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
-    (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) = _walk(dynkin, (y, z, sorted(y + z)))
+    return _variety(t, y, _walk(dynkin, (y, z, sorted(y + z))))
+
+
+def stability_verdict(t: TripleSpec) -> StabilityReport:
+    """Exact slope comparison of the canonical foliation with the tangent bundle."""
+    return _verdict(t, variety_invariants(t))
+
+
+def stability_verdicts(triples: Iterable[TripleSpec]) -> Iterator[StabilityReport]:
+    """stability_verdict of each triple in turn, with one engine call per run of triples on one Dynkin type.
+
+    Consecutive triples whose layouts give the same factors, such as the Cn
+    triples of one n, or Bn:n=3 and B3special, share one walk over all of
+    their Y, Z and Y u Z markings.  The generator holds one run at a time.
+    """
+    laid_out = ((*t.family.layout(t.n, t.k), t) for t in triples)
+    for factors, run in itertools.groupby(laid_out, key=operator.itemgetter(0)):
+        run = list(run)
+        markings = []
+        for _, y, z, _ in run:
+            markings += (y, z, sorted(y + z))
+        walked = iter(_walk(DynkinType(tuple(itertools.starmap(SimpleFactor, factors))), markings))
+        for (_, y, _, t), walks in zip(run, zip(walked, walked, walked)):
+            yield _verdict(t, _variety(t, y, walks))
+
+
+def _variety(t: TripleSpec, y: tuple[int, ...], walks) -> VarietyInvariants:
+    """The invariants of a triple from the walks of its Y, Z and Y u Z markings, in that order."""
+    (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) = walks
     dim_x = dim_yz + 1
     c1_y = anti_y[y[0]]
     pinned = t.family.pinned
@@ -188,9 +217,8 @@ def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     return VarietyInvariants(dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey)
 
 
-def stability_verdict(t: TripleSpec) -> StabilityReport:
-    """Exact slope comparison of the canonical foliation with the tangent bundle."""
-    v = variety_invariants(t)
+def _verdict(t: TripleSpec, v: VarietyInvariants) -> StabilityReport:
+    """The exact slope comparison of one triple's invariants."""
     mu_f = Fraction(v.c1_f, v.rank_f)
     mu_theta = Fraction(v.r_x, v.dim_x)
     # both denominators are positive, so mu_F - mu_Theta has the sign of c1_F * dim_X - r_X * rank_F

@@ -30,12 +30,19 @@ _FIXED_RANK = {"F": 4, "G": 2}
 
 
 def parse_decimal(text: str) -> int:
-    """int() of a decimal string, refusing one past Python's int-to-str digit limit by name."""
+    """int() of a decimal string, refusing one past Python's int-to-str digit limit by name.
+
+    Every grammar gates its integers on str.isdecimal(), which any Unicode
+    decimal digit passes, as int() reads it: only ASCII 0-9 are read here, so
+    what the program prints back is what was typed.
+    """
     digits, limit = len(text.removeprefix("-")), sys.get_int_max_str_digits()
     if limit and digits > limit:
         raise ValueError(
             f"cannot read the integer {text[:10]}...: it has {digits} digits, more than the limit of {limit}"
         )
+    if not text.isascii():
+        raise ValueError(f"cannot read the integer {text!r}: digits must be ASCII 0-9")
     return int(text)
 
 

@@ -524,6 +524,23 @@ def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
     assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", error)
 
 
+@pytest.mark.parametrize(
+    "argv,digits",
+    [
+        (["check", "Bn:n=\u0665"], "'\u0665'"),
+        (["roots", "B\u0663"], "'\u0663'"),
+        (["flag", "B4", "--mark", "\u0662"], "'\u0662'"),
+        (["dim", "B2", "\u0661,0"], "'\u0661'"),
+    ],
+    ids=["triple-id", "type-spec", "node-list", "weight"],
+)
+def test_non_ascii_digits_are_refused(capsys, argv, digits):
+    # Arabic-Indic digits pass str.isdecimal() and int() reads them: the
+    # program would answer for an input other than the one it prints back
+    error = f"error: cannot read the integer {digits}: digits must be ASCII 0-9\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
+
+
 def test_a_refusal_from_any_library_call_exits_two(capsys, monkeypatch):
     # flag does not check the nodes it gives flag_invariants: main reports
     # the walk's own ValueError as it reports the parser's

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import resource
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoorbit
-from twoorbit import fixtures, pasquier
+from twoorbit import cli, fixtures, pasquier
 from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
     RECORD_FIELDS,
@@ -26,6 +29,7 @@ from twoorbit.pasquier import (
     report_record,
     report_row,
     stability_verdict,
+    stability_verdicts,
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, build_root_system
@@ -95,8 +99,9 @@ class TestEnumeration:
         # about 5*10^17 triples: a list of them fails under the child's
         # 1 GB address-space limit instead of filling the machine's memory
         code = (
-            "from twoorbit.pasquier import enumerate_triples;"
-            " print(next(enumerate_triples(10**9)).triple_id)"
+            "from twoorbit.pasquier import enumerate_triples, stability_verdicts;"
+            " print(next(enumerate_triples(10**9)).triple_id);"
+            " print(next(stability_verdicts(enumerate_triples(10**9))).triple.triple_id)"
         )
         start = time.perf_counter()
         proc = subprocess.run(
@@ -107,7 +112,7 @@ class TestEnumeration:
             timeout=60,
         )
         elapsed = time.perf_counter() - start
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Bn:n=3\n", b"")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"Bn:n=3\nBn:n=3\n", b"")
         assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"
 
 
@@ -316,27 +321,60 @@ def test_family_hashes_by_identity(copy_member):
 
 
 class TestOneEvaluationPerTriple:
+    """Every triple's Y, Z and Y u Z markings are walked exactly once, counted at the engine."""
+
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = Counter()
-        uncounted = pasquier.variety_invariants
+    def walks(self, monkeypatch):
+        calls = []
+        uncounted = pasquier._walk
 
-        def counting(t):
-            counts[t] += 1
-            return uncounted(t)
+        def counting(dynkin, markings):
+            calls.append((dynkin, [tuple(m) for m in markings]))
+            return uncounted(dynkin, markings)
 
-        monkeypatch.setattr(pasquier, "variety_invariants", counting)
-        return counts
+        monkeypatch.setattr(pasquier, "_walk", counting)
+        return calls
 
-    def test_stability_verdict(self, calls):
+    @staticmethod
+    def markings(triples):
+        """(Dynkin type, marking) of each of the triples' three markings, as a multiset."""
+        expected = Counter()
+        for t in triples:
+            dynkin, y, z = _layout(t)
+            expected.update((dynkin, m) for m in (y, z, tuple(sorted(y + z))))
+        return expected
+
+    @staticmethod
+    def walked(walks):
+        return Counter((dynkin, m) for dynkin, markings in walks for m in markings)
+
+    def test_stability_verdict(self, walks):
         triples = list(enumerate_triples(12))
         for t in triples:
             stability_verdict(t)
-        assert calls == Counter(triples)
+        assert len(walks) == len(triples)
+        assert self.walked(walks) == self.markings(triples)
 
-    def test_verify(self, calls):
+    def test_verify(self, walks):
         assert fixtures.verify(12) == []
-        assert calls == Counter(enumerate_triples(12))
+        self.assert_one_walk_per_run(walks)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_table(self, walks, fmt):
+        assert cli.main(["table", "--max-n", "12", "--format", fmt]) == 0
+        self.assert_one_walk_per_run(walks)
+
+    def test_two_families_share_a_run_at_three(self, walks):
+        assert fixtures.verify(3) == []
+        self.assert_one_walk_per_run(walks, max_n=3)
+        # Bn:n=3 and B3special both lie on B3: one walk over both triples' markings
+        assert walks[0] == (DynkinType.parse("B3"), [(1,), (2,), (1, 2), (0,), (2,), (0, 2)])
+
+    def assert_one_walk_per_run(self, walks, max_n=12):
+        triples = list(enumerate_triples(max_n))
+        # one call per run of consecutive triples on one Dynkin type
+        assert len(walks) == sum(1 for _ in itertools.groupby(triples, key=lambda t: _layout(t)[0]))
+        assert self.walked(walks) == self.markings(triples)
 
 
 HUGE_N = 10**30
@@ -345,12 +383,55 @@ HUGE_N = 10**30
 class TestHugeRank:
     """Every closed form is a Python int, so a huge rank costs no more than a small one."""
 
+    @staticmethod
+    def mismatches(t):
+        """fixtures' mismatches for the single-triple report and the batched one."""
+        return [fixtures._check_report(stability_verdict(t)), *map(fixtures._check_report, stability_verdicts([t]))]
+
     def test_spinor_family(self):
-        assert fixtures._check_triple(TripleSpec(Family.BN_SPINOR, n=HUGE_N)) == []
+        assert self.mismatches(TripleSpec(Family.BN_SPINOR, n=HUGE_N)) == [[], []]
 
     @pytest.mark.parametrize("k", [2, 1000, HUGE_N - 1, HUGE_N], ids=["2", "1000", "n-1", "n"])
     def test_c_family(self, k):
-        assert fixtures._check_triple(TripleSpec(Family.CN, n=HUGE_N, k=k)) == []
+        assert self.mismatches(TripleSpec(Family.CN, n=HUGE_N, k=k)) == [[], []]
+
+
+# the catalog up to n = 8 in catalog order, and Cn triples of a huge n: slices
+# of it give runs of one Dynkin type, single triples interleave them
+_SMALL_CATALOG = [
+    *enumerate_triples(8),
+    *(TripleSpec(Family.CN, HUGE_N, k) for k in (2, 3, HUGE_N)),
+    TripleSpec(Family.BN_SPINOR, HUGE_N),
+]
+
+
+@st.composite
+def triple_sequences(draw):
+    """A sequence of triples: catalog slices and single triples, mixed families and n, repeats allowed."""
+    pieces = draw(st.lists(st.one_of(
+        st.sampled_from(_SMALL_CATALOG).map(lambda t: [t]),
+        st.tuples(st.integers(0, len(_SMALL_CATALOG) - 1), st.integers(1, 10)).map(
+            lambda ij: _SMALL_CATALOG[ij[0]:ij[0] + ij[1]]),
+    ), max_size=8))
+    return [t for piece in pieces for t in piece]
+
+
+def assert_batch_equals_single_path(seq):
+    batch, single = list(stability_verdicts(seq)), [stability_verdict(t) for t in seq]
+    assert batch == single
+    # == does not see the order of a c1_Z dict, which a weight label prints in
+    assert list(map(report_row, batch)) == list(map(report_row, single))
+
+
+class TestBatchEqualsSinglePath:
+    @given(triple_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_any_sequence(self, seq):
+        assert_batch_equals_single_path(seq)
+
+    @pytest.mark.parametrize("seq", [[], list(enumerate_triples(3))], ids=["empty", "catalog-3"])
+    def test_edge_sequences(self, seq):
+        assert_batch_equals_single_path(seq)
 
 
 class TestMismatchReport:
