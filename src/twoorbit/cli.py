@@ -72,8 +72,11 @@ def _write_lines(lines) -> None:
         sys.stdout.write("\n".join(block))
 
 
-def _catalog_bound(max_n: int) -> int:
-    """The --max-n of table and verify, refused below 3 or above MAX_CATALOG_N."""
+def _catalog_bound(text: str) -> int:
+    """The --max-n of table and verify, read as ASCII decimal digits, refused below 3 or above MAX_CATALOG_N."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"--max-n must be a decimal integer, got {text!r}")
+    max_n = parse_decimal(text)
     if max_n < 3:
         raise ValueError(f"--max-n must be at least 3, got {max_n}")
     if max_n > MAX_CATALOG_N:
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("table", help="full catalog table with slopes and verdicts")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p.add_argument("--max-n", default="12", dest="max_n")
     p.add_argument("--format", default="md")
     p.set_defaults(func=cmd_table)
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="recompute the embedded fixture tables")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p.add_argument("--max-n", default="12", dest="max_n")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -46,11 +46,11 @@ def _run_data(short: int, long_: int, bond: int, lo: int, hi: int) -> tuple[int,
     return (count, first, last) if long_ <= short else (count, last, first)
 
 
-def _refuse(dynkin: DynkinType, marked: Sequence[int]) -> NoReturn:
-    """Refuse a node list the walk cannot take, naming its out-of-range nodes if it has any."""
-    bad = sorted({i for i in marked if not 0 <= i < dynkin.rank})
+def _refuse(rank: int, marked: Sequence[int]) -> NoReturn:
+    """Refuse a node list the walk cannot take, naming its nodes outside 0..rank-1 if it has any."""
+    bad = sorted({i for i in marked if not 0 <= i < rank})
     if bad:
-        raise ValueError(f"marked nodes {bad} out of range 0..{dynkin.rank - 1}")
+        raise ValueError(f"marked nodes {bad} out of range 0..{rank - 1}")
     raise ValueError(f"marked nodes {list(marked)} must be nonempty and strictly increasing")
 
 
@@ -61,30 +61,31 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
     empty, unsorted or out-of-range list raises ValueError.  -K is sparse,
     {marked node: coefficient} in node order.
     """
-    return _walk(dynkin, (marked,))[0]
+    return _walk(dynkin.factors, (marked,))[0]
 
 
-def _walk(dynkin: DynkinType, markings: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
+def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
     """flag_invariants of each node list in `markings`, reading each factor's bond and root count once.
 
-    The first list the walk refuses raises its ValueError.
+    `factors` holds unchecked (series, rank) pairs; the first list the walk refuses raises its ValueError.
     """
-    factors = []
-    for f in dynkin.factors:
-        rank = f.rank
+    chains, type_rank = [], 0
+    for f in factors:
+        rank = f[1]
         short, long_, bond = factor_bond(f)
-        factors.append((rank, short, long_, bond, _run_data(short, long_, bond, 0, rank - 1)[0]))
+        chains.append((rank, short, long_, bond, _run_data(short, long_, bond, 0, rank - 1)[0]))
+        type_rank += rank
     results = []
     for marked in markings:
         dimension, anti, offset, start = 0, {}, 0, 0
-        for rank, short, long_, bond, total in factors:
+        for rank, short, long_, bond, total in chains:
             end = bisect.bisect_left(marked, offset + rank, start)
             dimension += total
             left = -1  # local index of the marked node before the next run, -1 at the chain's start
             for node in marked[start:end]:
                 i = node - offset
                 if i >= rank:  # only an unsorted list gets here
-                    _refuse(dynkin, marked)
+                    _refuse(type_rank, marked)
                 anti[node] = 2
                 if i > left + 1:  # the Levi run left+1..i-1
                     count, first, last = _run_data(short, long_, bond, left + 1, i - 1)
@@ -93,7 +94,7 @@ def _walk(dynkin: DynkinType, markings: Sequence[Sequence[int]]) -> list[tuple[i
                         anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
                     anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
                 elif i <= left:  # a repeat or a step back
-                    _refuse(dynkin, marked)
+                    _refuse(type_rank, marked)
                 left = i
             if left < rank - 1:  # the Levi run left+1..rank-1 at the chain's end
                 count, first, _ = _run_data(short, long_, bond, left + 1, rank - 1)
@@ -102,6 +103,6 @@ def _walk(dynkin: DynkinType, markings: Sequence[Sequence[int]]) -> list[tuple[i
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
             offset, start = offset + rank, end
         if start < len(marked) or not marked:  # nodes past the last factor, or none
-            _refuse(dynkin, marked)
+            _refuse(type_rank, marked)
         results.append((dimension, anti))
     return results

@@ -29,7 +29,7 @@ class Family(enum.Enum):
     apply, else None; test_criterion_4 guards rank F = dim X - dim Y, that is
     23 - 15 for PasF4 and 8 - 5 for PasA1G2.  `layout(n, k)`: the Dynkin type as
     (series, rank) factor pairs, then the marked nodes of Y (always one) and of
-    Z, strictly increasing and 0-based global as `flag_invariants` takes them.
+    Z, strictly increasing and 0-based global: the walk's input as it is.
     """
 
     BN_SPINOR = ("Bn", 3, None, "spinor family needs n >= 3 and takes no k", None,
@@ -172,9 +172,9 @@ def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]
 
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
-    dynkin, y, z = _layout(t)
-    # Y and Z mark disjoint nodes; the walk refuses a repeated one
-    return _variety(t, y, _walk(dynkin, (y, z, sorted(y + z))))
+    """The invariants of Y, Z and X of one triple, from one walk over its Dynkin diagram."""
+    factors, y, z = t.family.layout(t.n, t.k)
+    return next(_varieties(factors, [(y, z, t)]))[1]
 
 
 def stability_verdict(t: TripleSpec) -> StabilityReport:
@@ -191,30 +191,25 @@ def stability_verdicts(triples: Iterable[TripleSpec]) -> Iterator[StabilityRepor
     """
     laid_out = ((*t.family.layout(t.n, t.k), t) for t in triples)
     for factors, run in itertools.groupby(laid_out, key=operator.itemgetter(0)):
-        run = list(run)
-        markings = []
-        for _, y, z, _ in run:
-            markings += (y, z, sorted(y + z))
-        walked = iter(_walk(DynkinType(tuple(itertools.starmap(SimpleFactor, factors))), markings))
-        for (_, y, _, t), walks in zip(run, zip(walked, walked, walked)):
-            yield _verdict(t, _variety(t, y, walks))
+        yield from itertools.starmap(_verdict, _varieties(factors, [(y, z, t) for _, y, z, t in run]))
 
 
-def _variety(t: TripleSpec, y: tuple[int, ...], walks) -> VarietyInvariants:
-    """The invariants of a triple from the walks of its Y, Z and Y u Z markings, in that order."""
-    (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) = walks
-    dim_x = dim_yz + 1
-    c1_y = anti_y[y[0]]
-    pinned = t.family.pinned
-    if pinned is not None:
-        r_x, rank_f, c1_f = pinned
-        rank_ey = c1_ey = None
-    else:
-        # blow-up canonical formula applied to the drum contraction
-        r_x = 2 * dim_x - dim_y - dim_z
-        rank_ey, c1_ey = dim_x - dim_y, c1_y - (dim_x - dim_z)
-        rank_f, c1_f = rank_ey, rank_ey - c1_ey
-    return VarietyInvariants(dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey)
+def _varieties(factors: tuple[tuple[str, int], ...], run) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
+    """(triple, invariants) of each (y, z, triple) of `run`, all laid out on `factors`, from one engine call."""
+    # Y and Z mark disjoint nodes; the walk refuses a repeated one
+    walked = iter(_walk(factors, [m for y, z, _ in run for m in (y, z, sorted(y + z))]))
+    for (y, _, t), (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) in zip(run, walked, walked, walked):
+        dim_x = dim_yz + 1
+        c1_y = anti_y[y[0]]
+        if t.family.pinned is not None:
+            r_x, rank_f, c1_f = t.family.pinned
+            rank_ey = c1_ey = None
+        else:
+            # blow-up canonical formula applied to the drum contraction
+            r_x = 2 * dim_x - dim_y - dim_z
+            rank_ey, c1_ey = dim_x - dim_y, c1_y - (dim_x - dim_z)
+            rank_f, c1_f = rank_ey, rank_ey - c1_ey
+        yield t, VarietyInvariants(dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey)
 
 
 def _verdict(t: TripleSpec, v: VarietyInvariants) -> StabilityReport:

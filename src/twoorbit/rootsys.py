@@ -162,12 +162,13 @@ _BOND = {
 }
 
 
-def factor_bond(f: SimpleFactor) -> tuple[int, int, int]:
-    """(short node, long node, a[short][long]) of one factor's multiple bond.
+def factor_bond(f: tuple[str, int]) -> tuple[int, int, int]:
+    """(short node, long node, a[short][long]) of one factor's multiple bond, from its (series, rank) pair.
 
     Type A has none and gets (-1, -1, -1), which no pair of its nodes matches.
     """
-    return _BOND[f.series](f.rank) if f.series in _BOND else (-1, -1, -1)
+    series, rank = f
+    return _BOND[series](rank) if series in _BOND else (-1, -1, -1)
 
 
 class RootSystem(NamedTuple):
@@ -248,8 +249,7 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     n = dynkin.rank
     cartan = [[0] * n for _ in range(n)]
     symmetrizer: list[int] = []
-    off = 0
-    for f in dynkin.factors:
+    for f, off in zip(dynkin.factors, dynkin.factor_offsets()):
         short, long_, bond = factor_bond(f)
         for i in range(f.rank):
             row = cartan[off + i]
@@ -261,7 +261,6 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
             # so d_i is 1 on the short node's side of the bond and |bond| on the long
             # one; type A's (-1, -1, -1) gives 1 everywhere
             symmetrizer.append(1 if (i - long_) * (short - long_) > 0 else -bond)
-        off += f.rank
 
     return RootSystem(
         dynkin=dynkin,

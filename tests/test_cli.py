@@ -515,13 +515,23 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("command", ["table", "verify"])
-@pytest.mark.parametrize("max_n", [cli.MAX_CATALOG_N + 1, 10**6])
-def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
+@pytest.mark.parametrize(
+    "max_n, error",
+    [
+        (cli.MAX_CATALOG_N + 1, f"must be at most {cli.MAX_CATALOG_N}, got {cli.MAX_CATALOG_N + 1}"),
+        (10**6, f"must be at most {cli.MAX_CATALOG_N}, got {10**6}"),
+        # int() reads each of these as 12: only ASCII decimal digits are read
+        ("+12", "must be a decimal integer, got '+12'"),
+        (" 12 ", "must be a decimal integer, got ' 12 '"),
+        ("1_2", "must be a decimal integer, got '1_2'"),
+    ],
+    ids=[str(cli.MAX_CATALOG_N + 1), str(10**6), "plus-sign", "spaces", "underscore"],
+)
+def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n, error):
     # fail at once, not after hours, if the catalog is started past the cap
     monkeypatch.setattr(cli.pasquier, "enumerate_triples", None)
     monkeypatch.setattr(fixtures, "verify", None)
-    error = f"error: --max-n must be at most {cli.MAX_CATALOG_N}, got {max_n}\n"
-    assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", error)
+    assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", f"error: --max-n {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -531,8 +541,10 @@ def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n):
         (["roots", "B\u0663"], "'\u0663'"),
         (["flag", "B4", "--mark", "\u0662"], "'\u0662'"),
         (["dim", "B2", "\u0661,0"], "'\u0661'"),
+        (["table", "--max-n", "\u0663"], "'\u0663'"),
+        (["verify", "--max-n", "\u0663"], "'\u0663'"),
     ],
-    ids=["triple-id", "type-spec", "node-list", "weight"],
+    ids=["triple-id", "type-spec", "node-list", "weight", "table-max-n", "verify-max-n"],
 )
 def test_non_ascii_digits_are_refused(capsys, argv, digits):
     # Arabic-Indic digits pass str.isdecimal() and int() reads them: the

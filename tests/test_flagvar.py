@@ -312,7 +312,7 @@ def test_one_walk_equals_one_call_per_marking(case):
             expected.append((dimension, list(anti.items())))
     except ValueError as refusal:
         with pytest.raises(ValueError) as exc:
-            _walk(dynkin, markings)
+            _walk(dynkin.factors, markings)
         assert str(exc.value) == str(refusal)
     else:
-        assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin, markings)] == expected
+        assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin.factors, markings)] == expected

@@ -32,7 +32,7 @@ from twoorbit.pasquier import (
     stability_verdicts,
     variety_invariants,
 )
-from twoorbit.rootsys import DynkinType, build_root_system
+from twoorbit.rootsys import DynkinType, SimpleFactor, build_root_system
 from oracles import flag_dimension
 
 
@@ -94,6 +94,19 @@ class TestEnumeration:
                     else:
                         accepted = True
                     assert accepted == ((f, n, k) in catalog), (f, n, k)
+        # the walk takes each layout unchecked: every triple with n <= 30, and
+        # each family at a huge n, lays out valid factors and a Y and a Z that
+        # are nonempty, strictly increasing, disjoint and in range
+        huge = dict.fromkeys(TripleSpec(f, f.first_n and HUGE_N, f.first_k and k)
+                             for f in Family for k in (2, 3, HUGE_N - 1, HUGE_N))
+        for t in [*enumerate_triples(30), *huge]:
+            factors, y, z = t.family.layout(t.n, t.k)
+            assert DynkinType(tuple(SimpleFactor(*f) for f in factors)) == (factors,), t
+            rank = sum(r for _, r in factors)
+            for nodes in (y, z):
+                assert nodes and 0 <= nodes[0] and nodes[-1] < rank, t
+                assert all(a < b for a, b in zip(nodes, nodes[1:])), t
+            assert not set(y) & set(z), t
 
     def test_first_triple_comes_before_the_rest_exist(self):
         # about 5*10^17 triples: a list of them fails under the child's
@@ -328,25 +341,25 @@ class TestOneEvaluationPerTriple:
         calls = []
         uncounted = pasquier._walk
 
-        def counting(dynkin, markings):
-            calls.append((dynkin, [tuple(m) for m in markings]))
-            return uncounted(dynkin, markings)
+        def counting(factors, markings):
+            calls.append((factors, [tuple(m) for m in markings]))
+            return uncounted(factors, markings)
 
         monkeypatch.setattr(pasquier, "_walk", counting)
         return calls
 
     @staticmethod
     def markings(triples):
-        """(Dynkin type, marking) of each of the triples' three markings, as a multiset."""
+        """(layout factor pairs, marking) of each of the triples' three markings, as a multiset."""
         expected = Counter()
         for t in triples:
-            dynkin, y, z = _layout(t)
-            expected.update((dynkin, m) for m in (y, z, tuple(sorted(y + z))))
+            factors, y, z = t.family.layout(t.n, t.k)
+            expected.update((factors, m) for m in (y, z, tuple(sorted(y + z))))
         return expected
 
     @staticmethod
     def walked(walks):
-        return Counter((dynkin, m) for dynkin, markings in walks for m in markings)
+        return Counter((factors, m) for factors, markings in walks for m in markings)
 
     def test_stability_verdict(self, walks):
         triples = list(enumerate_triples(12))
@@ -368,13 +381,32 @@ class TestOneEvaluationPerTriple:
         assert fixtures.verify(3) == []
         self.assert_one_walk_per_run(walks, max_n=3)
         # Bn:n=3 and B3special both lie on B3: one walk over both triples' markings
-        assert walks[0] == (DynkinType.parse("B3"), [(1,), (2,), (1, 2), (0,), (2,), (0, 2)])
+        assert walks[0] == ((("B", 3),), [(1,), (2,), (1, 2), (0,), (2,), (0, 2)])
 
     def assert_one_walk_per_run(self, walks, max_n=12):
         triples = list(enumerate_triples(max_n))
         # one call per run of consecutive triples on one Dynkin type
-        assert len(walks) == sum(1 for _ in itertools.groupby(triples, key=lambda t: _layout(t)[0]))
+        runs = itertools.groupby(triples, key=lambda t: t.family.layout(t.n, t.k)[0])
+        assert len(walks) == sum(1 for _ in runs)
         assert self.walked(walks) == self.markings(triples)
+
+
+def test_no_validated_record_between_layout_and_walk(monkeypatch):
+    # the walk takes a layout's (series, rank) pairs as they are: the catalog
+    # builds a SimpleFactor or DynkinType only to print a weight label
+    built = Counter()
+    for cls in (SimpleFactor, DynkinType):
+        def counting(kind, *args, _new=cls.__new__, **kwargs):
+            built[kind.__name__] += 1
+            return _new(kind, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    assert fixtures.verify(12) == []
+    for t in enumerate_triples(12):
+        stability_verdict(t)
+    assert built == Counter()
+    DynkinType.parse("A1xG2")  # the counter sees what is built
+    assert built == Counter({"SimpleFactor": 2, "DynkinType": 1})
 
 
 HUGE_N = 10**30
