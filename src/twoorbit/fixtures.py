@@ -119,21 +119,34 @@ _HORO_CELLS = (
     *_CELLS,
 )
 FIXTURE_IDS = tuple(dict.fromkeys(f for f, _ in _HORO_CELLS))  # in the order verify reports them
+_UNSTABLE = Verdict.UNSTABLE
 
 
-def _check_report(r: StabilityReport) -> list[Mismatch]:
-    t, v = r.triple, r.variety
+def _check_report(r: StabilityReport, bl_h_num: dict) -> list[Mismatch]:
+    """The mismatches of one report.
+
+    `bl_h_num` holds each horospherical family's six BL_H_NUM functions in
+    _BL_H_COLUMNS order, as _bl_h_functions gives them.
+    """
+    t, v, mu_f, mu_theta, verdict = r
     family, n, k = t
-    cells = _CELLS
-    expected = (*CF[family](n, k), *STAB[family](n, k))
-    actual = (v.rank_f, v.c1_f, r.mu_f, r.mu_theta, r.verdict is Verdict.UNSTABLE)
+    stab_mu_f, stab_mu_theta, unstable = STAB[family](n, k)
+    # Fraction.__eq__ runs Python code: the slopes compare as (numerator, denominator) pairs
+    expected_slopes = (stab_mu_f.as_integer_ratio(), stab_mu_theta.as_integer_ratio(), unstable)
+    actual_slopes = (mu_f.as_integer_ratio(), mu_theta.as_integer_ratio(), verdict is _UNSTABLE)
     if family.pinned is None:  # horospherical
-        formulas = BL_H_NUM[family]
+        dim_y, c1_y, dim_z, c1_z, dim_x, c1_x = bl_h_num[family]
         cells = _HORO_CELLS
-        expected = (*(formulas[column](n, k) for column in _BL_H_COLUMNS), *CF_NUM[family](n, k), *expected)
-        actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, *actual)
-    if expected == actual:
+        expected = (dim_y(n, k), c1_y(n, k), dim_z(n, k), c1_z(n, k), dim_x(n, k), c1_x(n, k),
+                    *CF_NUM[family](n, k), *CF[family](n, k))
+        actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, v.rank_f, v.c1_f)
+    else:
+        cells = _CELLS
+        expected, actual = CF[family](n, k), (v.rank_f, v.c1_f)
+    if expected == actual and expected_slopes == actual_slopes:
         return []
+    # a mismatch shows the slopes as the Fractions they are
+    expected, actual = (*expected, stab_mu_f, stab_mu_theta, unstable), (*actual, mu_f, mu_theta, actual_slopes[2])
     return [
         Mismatch(fixture, t.triple_id, column, e, a)
         for (fixture, column), e, a in zip(cells, expected, actual, strict=True)
@@ -141,9 +154,14 @@ def _check_report(r: StabilityReport) -> list[Mismatch]:
     ]
 
 
+def _bl_h_functions() -> dict:
+    """Each horospherical family's BL_H_NUM functions in _BL_H_COLUMNS order, as the table holds them now."""
+    return {family: tuple(formulas[column] for column in _BL_H_COLUMNS) for family, formulas in BL_H_NUM.items()}
+
+
 def verify(max_n: int) -> list[Mismatch]:
     """Recompute every fixture value for the catalog up to `max_n`."""
-    mismatches = []
+    bl_h_num, mismatches = _bl_h_functions(), []
     for r in stability_verdicts(enumerate_triples(max_n)):
-        mismatches.extend(_check_report(r))
+        mismatches.extend(_check_report(r, bl_h_num))
     return mismatches

@@ -9,7 +9,6 @@ enumerating a root.
 
 from __future__ import annotations
 
-import bisect
 from typing import NoReturn, Sequence
 
 from .rootsys import DynkinType, factor_bond
@@ -68,24 +67,25 @@ def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]])
     """flag_invariants of each node list in `markings`, reading each factor's bond and root count once.
 
     `factors` holds unchecked (series, rank) pairs; the first list the walk refuses raises its ValueError.
+    Each list is read in one pass: its nodes go to the current factor until one
+    passes that factor's end, and a factor no node reaches is one Levi run.
     """
     chains, type_rank = [], 0
     for f in factors:
         rank = f[1]
         short, long_, bond = factor_bond(f)
-        chains.append((rank, short, long_, bond, _run_data(short, long_, bond, 0, rank - 1)[0]))
+        total = _run_data(short, long_, bond, 0, rank - 1)[0]
+        chains.append((type_rank, type_rank + rank, rank - 1, short, long_, bond, total))
         type_rank += rank
     results = []
     for marked in markings:
-        dimension, anti, offset, start = 0, {}, 0, 0
-        for rank, short, long_, bond, total in chains:
-            end = bisect.bisect_left(marked, offset + rank, start)
+        dimension, anti, at, size = 0, {}, 0, len(marked)
+        for offset, end, top, short, long_, bond, total in chains:
             dimension += total
             left = -1  # local index of the marked node before the next run, -1 at the chain's start
-            for node in marked[start:end]:
+            while at < size and marked[at] < end:
+                node = marked[at]
                 i = node - offset
-                if i >= rank:  # only an unsorted list gets here
-                    _refuse(type_rank, marked)
                 anti[node] = 2
                 if i > left + 1:  # the Levi run left+1..i-1
                     count, first, last = _run_data(short, long_, bond, left + 1, i - 1)
@@ -93,16 +93,15 @@ def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]])
                     if left >= 0:
                         anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
                     anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
-                elif i <= left:  # a repeat or a step back
+                elif i <= left:  # a repeat, a step back or a node before this factor
                     _refuse(type_rank, marked)
-                left = i
-            if left < rank - 1:  # the Levi run left+1..rank-1 at the chain's end
-                count, first, _ = _run_data(short, long_, bond, left + 1, rank - 1)
+                left, at = i, at + 1
+            if left < top:  # the Levi run left+1..top at the chain's end
+                count, first, _ = _run_data(short, long_, bond, left + 1, top)
                 dimension -= count
                 if left >= 0:
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
-            offset, start = offset + rank, end
-        if start < len(marked) or not marked:  # nodes past the last factor, or none
+        if at < size or not size:  # nodes past the last factor, or none
             _refuse(type_rank, marked)
         results.append((dimension, anti))
     return results

@@ -157,6 +157,10 @@ class Verdict(enum.Enum):
     STABLE = "Stable"
 
 
+# an Enum attribute read runs Python code, about 0.1 us; the verdict path reads these names
+_UNSTABLE, _BOUNDARY, _STABLE = Verdict.UNSTABLE, Verdict.STRICTLY_SEMISTABLE_BOUNDARY, Verdict.STABLE
+
+
 class StabilityReport(NamedTuple):
     triple: TripleSpec
     variety: VarietyInvariants
@@ -186,18 +190,29 @@ def stability_verdicts(triples: Iterable[TripleSpec]) -> Iterator[StabilityRepor
     """stability_verdict of each triple in turn, with one engine call per run of triples on one Dynkin type.
 
     Consecutive triples whose layouts give the same factors, such as the Cn
-    triples of one n, or Bn:n=3 and B3special, share one walk over all of
-    their Y, Z and Y u Z markings.  The generator holds one run at a time.
+    triples of one n, or Bn:n=3 and B3special, share one walk, which takes
+    each distinct marking among their Y, Z and Y u Z once.  The generator
+    holds one run at a time.
     """
     laid_out = ((*t.family.layout(t.n, t.k), t) for t in triples)
     for factors, run in itertools.groupby(laid_out, key=operator.itemgetter(0)):
-        yield from itertools.starmap(_verdict, _varieties(factors, [(y, z, t) for _, y, z, t in run]))
+        for t, v in _varieties(factors, [(y, z, t) for _, y, z, t in run]):
+            yield _verdict(t, v)
 
 
 def _varieties(factors: tuple[tuple[str, int], ...], run) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
-    """(triple, invariants) of each (y, z, triple) of `run`, all laid out on `factors`, from one engine call."""
+    """(triple, invariants) of each (y, z, triple) of `run`, all laid out on `factors`, from one engine call.
+
+    A run of several triples walks each distinct marking once: in a Cn run, Z
+    of k is Y of k - 1.  Each yielded c1_Z is still a dict of its own.
+    """
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
-    walked = iter(_walk(factors, [m for y, z, _ in run for m in (y, z, sorted(y + z))]))
+    markings = [m for y, z, _ in run for m in (y, z, tuple(sorted(y + z)))]
+    if len(run) == 1:  # no marking to share
+        walked = iter(_walk(factors, markings))
+    else:
+        distinct = list(dict.fromkeys(markings))
+        walked = map(dict(zip(distinct, _walk(factors, distinct))).__getitem__, markings)
     for (y, _, t), (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) in zip(run, walked, walked, walked):
         dim_x = dim_yz + 1
         c1_y = anti_y[y[0]]
@@ -209,7 +224,9 @@ def _varieties(factors: tuple[tuple[str, int], ...], run) -> Iterator[tuple[Trip
             r_x = 2 * dim_x - dim_y - dim_z
             rank_ey, c1_ey = dim_x - dim_y, c1_y - (dim_x - dim_z)
             rank_f, c1_f = rank_ey, rank_ey - c1_ey
-        yield t, VarietyInvariants(dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey)
+        # a Z marking walked once for two triples of the run gives each its own dict
+        c1_z = c1_z.copy()
+        yield t, tuple.__new__(VarietyInvariants, (dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey))
 
 
 def _verdict(t: TripleSpec, v: VarietyInvariants) -> StabilityReport:
@@ -218,13 +235,8 @@ def _verdict(t: TripleSpec, v: VarietyInvariants) -> StabilityReport:
     mu_theta = Fraction(v.r_x, v.dim_x)
     # both denominators are positive, so mu_F - mu_Theta has the sign of c1_F * dim_X - r_X * rank_F
     lhs, rhs = v.c1_f * v.dim_x, v.r_x * v.rank_f
-    if lhs > rhs:
-        verdict = Verdict.UNSTABLE
-    elif lhs == rhs:
-        verdict = Verdict.STRICTLY_SEMISTABLE_BOUNDARY
-    else:
-        verdict = Verdict.STABLE
-    return StabilityReport(t, v, mu_f, mu_theta, verdict)
+    verdict = _UNSTABLE if lhs > rhs else _BOUNDARY if lhs == rhs else _STABLE
+    return tuple.__new__(StabilityReport, (t, v, mu_f, mu_theta, verdict))
 
 
 # --- report serialization ---------------------------------------------------

@@ -178,6 +178,13 @@ REFUSED = [
     ("F4", (), f"marked nodes [] {UNSORTED}"),
     ("B3", (1, 3, 5), "marked nodes [3, 5] out of range 0..2"),
     ("A1xG2", (-1, 0, 2), "marked nodes [-1] out of range 0..2"),
+    # a step back across a factor boundary, and nodes past the last factor
+    ("A1xG2xB3", (4, 2), f"marked nodes [4, 2] {UNSORTED}"),
+    ("A1xG2xB3", (3, 1), f"marked nodes [3, 1] {UNSORTED}"),
+    ("A3xA3", (2, 4, 3), f"marked nodes [2, 4, 3] {UNSORTED}"),
+    ("A1xG2xB3", (6,), "marked nodes [6] out of range 0..5"),
+    ("A1xG2xB3", (2, 6), "marked nodes [6] out of range 0..5"),
+    ("A1xG2xB3", (0, 9, 6), "marked nodes [6, 9] out of range 0..5"),
 ]
 
 
@@ -207,7 +214,9 @@ class TestErrors:
             fano_index(rs, (0, 1))
 
 
-FAST_PATH_TYPES = ["A1", "A4", "B2", "B4", "C4", "F4", "G2", "A1xG2", "A2xB3", "B12", "C12"]
+# A1xG2xB3: every marking, so the walk's one pass skips whole factors and
+# stops at the last node of each
+FAST_PATH_TYPES = ["A1", "A4", "B2", "B4", "C4", "F4", "G2", "A1xG2", "A2xB3", "A1xG2xB3", "B12", "C12"]
 
 
 @pytest.mark.parametrize("spec", FAST_PATH_TYPES)
@@ -302,6 +311,7 @@ def batches(draw, max_rank=12):
 @given(batches())
 @example((DynkinType.parse("A1xG2"), [[1], [0, 2], [0, 1, 2]]))
 @example((DynkinType.parse("B3"), [[0], [2, 1], [3]]))
+@example((DynkinType.parse("A1xG2xB3"), [[5], [3, 5], [0, 2], [2, 5]]))
 def test_one_walk_equals_one_call_per_marking(case):
     """The engine's batch gives what flag_invariants gives list by list, or the first list's refusal."""
     dynkin, markings = case

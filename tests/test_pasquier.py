@@ -334,7 +334,7 @@ def test_family_hashes_by_identity(copy_member):
 
 
 class TestOneEvaluationPerTriple:
-    """Every triple's Y, Z and Y u Z markings are walked exactly once, counted at the engine."""
+    """Every distinct Y, Z and Y u Z marking of a run is walked exactly once, counted at the engine."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -362,6 +362,7 @@ class TestOneEvaluationPerTriple:
         return Counter((factors, m) for factors, markings in walks for m in markings)
 
     def test_stability_verdict(self, walks):
+        # a run of one triple walks its three markings
         triples = list(enumerate_triples(12))
         for t in triples:
             stability_verdict(t)
@@ -380,15 +381,24 @@ class TestOneEvaluationPerTriple:
     def test_two_families_share_a_run_at_three(self, walks):
         assert fixtures.verify(3) == []
         self.assert_one_walk_per_run(walks, max_n=3)
-        # Bn:n=3 and B3special both lie on B3: one walk over both triples' markings
-        assert walks[0] == ((("B", 3),), [(1,), (2,), (1, 2), (0,), (2,), (0, 2)])
+        # Bn:n=3 and B3special both lie on B3 and both have Z = (2,): one walk
+        # over the five distinct markings of the two triples
+        assert walks[0] == ((("B", 3),), [(1,), (2,), (1, 2), (0,), (0, 2)])
+
+    def test_catalog_to_one_hundred_walks_each_distinct_marking(self, walks, capsys):
+        # 5,053 triples have 15,159 markings; in each Cn run, Z of k is Y of k - 1
+        assert cli.main(["table", "--max-n", "100"]) == 0
+        assert sum(len(markings) for _, markings in walks) == 10_308
 
     def assert_one_walk_per_run(self, walks, max_n=12):
         triples = list(enumerate_triples(max_n))
         # one call per run of consecutive triples on one Dynkin type
-        runs = itertools.groupby(triples, key=lambda t: t.family.layout(t.n, t.k)[0])
-        assert len(walks) == sum(1 for _ in runs)
-        assert self.walked(walks) == self.markings(triples)
+        runs = [list(run) for _, run in itertools.groupby(triples, key=lambda t: t.family.layout(t.n, t.k)[0])]
+        assert len(walks) == len(runs)
+        for (factors, markings), run in zip(walks, runs):
+            # each distinct marking of the run, and each exactly once
+            assert len(set(markings)) == len(markings)
+            assert {(factors, m) for m in markings} == set(self.markings(run))
 
 
 def test_no_validated_record_between_layout_and_walk(monkeypatch):
@@ -418,7 +428,8 @@ class TestHugeRank:
     @staticmethod
     def mismatches(t):
         """fixtures' mismatches for the single-triple report and the batched one."""
-        return [fixtures._check_report(stability_verdict(t)), *map(fixtures._check_report, stability_verdicts([t]))]
+        bl_h_num = fixtures._bl_h_functions()
+        return [fixtures._check_report(r, bl_h_num) for r in (stability_verdict(t), *stability_verdicts([t]))]
 
     def test_spinor_family(self):
         assert self.mismatches(TripleSpec(Family.BN_SPINOR, n=HUGE_N)) == [[], []]
@@ -451,6 +462,8 @@ def triple_sequences(draw):
 def assert_batch_equals_single_path(seq):
     batch, single = list(stability_verdicts(seq)), [stability_verdict(t) for t in seq]
     assert batch == single
+    # walking a marking once for several triples shares no c1_Z dict between reports
+    assert len({id(r.variety.c1_z) for r in batch}) == len(batch)
     # == does not see the order of a c1_Z dict, which a weight label prints in
     assert list(map(report_row, batch)) == list(map(report_row, single))
 
@@ -464,6 +477,27 @@ class TestBatchEqualsSinglePath:
     @pytest.mark.parametrize("seq", [[], list(enumerate_triples(3))], ids=["empty", "catalog-3"])
     def test_edge_sequences(self, seq):
         assert_batch_equals_single_path(seq)
+
+
+# runs whose triples share a marking: a repeated triple; Cn triples of one n,
+# where Y of k is Z of k + 1; Bn:n=3 and B3special, whose Z are both (2,)
+SHARED_MARKINGS = {
+    "repeat": [TripleSpec(Family.G2_HORO)] * 2,
+    "repeat-in-a-run": [TripleSpec(Family.CN, 5, 3), TripleSpec(Family.CN, 5, 4), TripleSpec(Family.CN, 5, 3)],
+    "cn-run": [TripleSpec(Family.CN, 6, k) for k in range(2, 7)],
+    "b3": list(enumerate_triples(3)),
+}
+
+
+@pytest.mark.parametrize("seq", list(SHARED_MARKINGS.values()), ids=list(SHARED_MARKINGS))
+def test_reports_share_no_dict(seq):
+    reports = list(stability_verdicts(seq))
+    assert len({id(r.variety.c1_z) for r in reports}) == len(reports)
+    for i in range(len(reports)):
+        reports = list(stability_verdicts(seq))
+        reports[i].variety.c1_z[0] = -1
+        others = [j for j in range(len(seq)) if j != i]
+        assert [reports[j] for j in others] == [stability_verdict(seq[j]) for j in others]
 
 
 class TestMismatchReport:
@@ -496,6 +530,13 @@ class TestMismatchReport:
         mismatches = fixtures.verify(3)
         assert mismatches == [fixtures.Mismatch("stab", "F4horo", "mu_F > mu_Theta", False, True)]
         assert str(mismatches[0]) == "stab[F4horo].mu_F > mu_Theta: expected False, actual True"
+
+    def test_stab_slope_alone(self, monkeypatch):
+        # every other cell of G2horo agrees, so only the slope comparison can see it
+        monkeypatch.setitem(fixtures.STAB, Family.G2_HORO, lambda n, k: (Fraction(1, 2), Fraction(5, 7), False))
+        mismatches = fixtures.verify(3)
+        assert mismatches == [fixtures.Mismatch("stab", "G2horo", "mu_Theta", Fraction(5, 7), Fraction(4, 7))]
+        assert str(mismatches[0]) == "stab[G2horo].mu_Theta: expected 5/7, actual 4/7"
 
     def test_cells_of_one_triple_keep_their_order(self, monkeypatch):
         self.patched(monkeypatch, fixtures.BL_H_NUM, Family.G2_HORO, c1_X=lambda n, k: 5, dim_Y=lambda n, k: 6)
