@@ -4,11 +4,13 @@ The closed forms below are transcriptions of the published invariant tables
 for the two-orbit catalog.  `verify` recomputes every value from the Dynkin
 diagram alone, through `stability_verdicts`, which walks the diagram once per
 run of catalog triples on one Dynkin type, and reports each mismatch as
-(table, row, column, expected, actual).
+(fixture, row, column, expected, actual).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -122,27 +124,24 @@ FIXTURE_IDS = tuple(dict.fromkeys(f for f, _ in _HORO_CELLS))  # in the order ve
 _UNSTABLE = Verdict.UNSTABLE
 
 
-def _check_report(r: StabilityReport, bl_h_num: dict) -> list[Mismatch]:
-    """The mismatches of one report.
-
-    `bl_h_num` holds each horospherical family's six BL_H_NUM functions in
-    _BL_H_COLUMNS order, as _bl_h_functions gives them.
-    """
+def _check_report(r: StabilityReport, formulas: tuple) -> list[Mismatch]:
+    """The mismatches of one report, against its family's closed forms as _closed_forms gives them."""
     t, v, mu_f, mu_theta, verdict = r
     family, n, k = t
-    stab_mu_f, stab_mu_theta, unstable = STAB[family](n, k)
+    if family.pinned is None:  # horospherical
+        dim_y, c1_y, dim_z, c1_z, dim_x, c1_x, cf_num, cf, stab = formulas
+        cells = _HORO_CELLS
+        expected = (dim_y(n, k), c1_y(n, k), dim_z(n, k), c1_z(n, k), dim_x(n, k), c1_x(n, k),
+                    *cf_num(n, k), *cf(n, k))
+        actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, v.rank_f, v.c1_f)
+    else:
+        cf, stab = formulas
+        cells = _CELLS
+        expected, actual = cf(n, k), (v.rank_f, v.c1_f)
+    stab_mu_f, stab_mu_theta, unstable = stab(n, k)
     # Fraction.__eq__ runs Python code: the slopes compare as (numerator, denominator) pairs
     expected_slopes = (stab_mu_f.as_integer_ratio(), stab_mu_theta.as_integer_ratio(), unstable)
     actual_slopes = (mu_f.as_integer_ratio(), mu_theta.as_integer_ratio(), verdict is _UNSTABLE)
-    if family.pinned is None:  # horospherical
-        dim_y, c1_y, dim_z, c1_z, dim_x, c1_x = bl_h_num[family]
-        cells = _HORO_CELLS
-        expected = (dim_y(n, k), c1_y(n, k), dim_z(n, k), c1_z(n, k), dim_x(n, k), c1_x(n, k),
-                    *CF_NUM[family](n, k), *CF[family](n, k))
-        actual = (v.dim_y, v.c1_y, v.dim_z, v.c1_z_scalar(), v.dim_x, v.r_x, v.rank_ey, v.c1_ey, v.rank_f, v.c1_f)
-    else:
-        cells = _CELLS
-        expected, actual = CF[family](n, k), (v.rank_f, v.c1_f)
     if expected == actual and expected_slopes == actual_slopes:
         return []
     # a mismatch shows the slopes as the Fractions they are
@@ -154,14 +153,19 @@ def _check_report(r: StabilityReport, bl_h_num: dict) -> list[Mismatch]:
     ]
 
 
-def _bl_h_functions() -> dict:
-    """Each horospherical family's BL_H_NUM functions in _BL_H_COLUMNS order, as the table holds them now."""
-    return {family: tuple(formulas[column] for column in _BL_H_COLUMNS) for family, formulas in BL_H_NUM.items()}
+def _closed_forms(family: Family) -> tuple:
+    """A family's closed forms as the tables hold them now, in the order _check_report unpacks them."""
+    if family.pinned is not None:
+        return CF[family], STAB[family]
+    return (*map(BL_H_NUM[family].__getitem__, _BL_H_COLUMNS), CF_NUM[family], CF[family], STAB[family])
 
 
 def verify(max_n: int) -> list[Mismatch]:
-    """Recompute every fixture value for the catalog up to `max_n`."""
-    bl_h_num, mismatches = _bl_h_functions(), []
-    for r in stability_verdicts(enumerate_triples(max_n)):
-        mismatches.extend(_check_report(r, bl_h_num))
+    """Recompute every fixture value for the catalog up to `max_n`, which comes in Family order.  Each
+    family run reads its closed forms once, at the call, so a table patched after import is the one checked."""
+    mismatches, reports = [], stability_verdicts(enumerate_triples(max_n))
+    for family, run in itertools.groupby(reports, key=operator.attrgetter("triple.family")):
+        formulas = _closed_forms(family)
+        for r in run:
+            mismatches.extend(_check_report(r, formulas))
     return mismatches

@@ -53,13 +53,6 @@ class Family(enum.Enum):
         member.pinned, member.layout = pinned, layout
         return member
 
-    # Enum hashes a member by its name, in Python, and `fixtures.verify` looks
-    # up four Family-keyed tables per triple.  Members are singletons, which
-    # pickle and deepcopy keep, so identity hashing finds the same rows.  It
-    # differs from one process to the next: no output may depend on iterating
-    # a set of Family members or of TripleSpecs, and none does.
-    __hash__ = object.__hash__
-
 
 class _TripleSpecFields(NamedTuple):
     family: Family
@@ -177,8 +170,7 @@ def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     """The invariants of Y, Z and X of one triple, from one walk over its Dynkin diagram."""
-    factors, y, z = t.family.layout(t.n, t.k)
-    return next(_varieties(factors, [(y, z, t)]))[1]
+    return next(_varieties([(*t.family.layout(t.n, t.k), t)]))[1]
 
 
 def stability_verdict(t: TripleSpec) -> StabilityReport:
@@ -195,25 +187,27 @@ def stability_verdicts(triples: Iterable[TripleSpec]) -> Iterator[StabilityRepor
     holds one run at a time.
     """
     laid_out = ((*t.family.layout(t.n, t.k), t) for t in triples)
-    for factors, run in itertools.groupby(laid_out, key=operator.itemgetter(0)):
-        for t, v in _varieties(factors, [(y, z, t) for _, y, z, t in run]):
+    for _, run in itertools.groupby(laid_out, key=operator.itemgetter(0)):
+        for t, v in _varieties(list(run)):
             yield _verdict(t, v)
 
 
-def _varieties(factors: tuple[tuple[str, int], ...], run) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
-    """(triple, invariants) of each (y, z, triple) of `run`, all laid out on `factors`, from one engine call.
+def _varieties(run: list) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
+    """(triple, invariants) of each (factors, y, z, triple) entry of `run`, from one engine call.
 
-    A run of several triples walks each distinct marking once: in a Cn run, Z
-    of k is Y of k - 1.  Each yielded c1_Z is still a dict of its own.
+    The entries share their factors, as `stability_verdicts` groups them.  A run of
+    several triples walks each distinct marking once: in a Cn run, Z of k is Y of
+    k - 1.  Each yielded c1_Z is still a dict of its own.
     """
+    factors = run[0][0]
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
-    markings = [m for y, z, _ in run for m in (y, z, tuple(sorted(y + z)))]
+    markings = [m for _, y, z, _ in run for m in (y, z, tuple(sorted(y + z)))]
     if len(run) == 1:  # no marking to share
         walked = iter(_walk(factors, markings))
     else:
         distinct = list(dict.fromkeys(markings))
         walked = map(dict(zip(distinct, _walk(factors, distinct))).__getitem__, markings)
-    for (y, _, t), (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) in zip(run, walked, walked, walked):
+    for (_, y, _, t), (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) in zip(run, walked, walked, walked):
         dim_x = dim_yz + 1
         c1_y = anti_y[y[0]]
         if t.family.pinned is not None:

@@ -234,6 +234,35 @@ def test_fano_degree_symbolic():
     assert sympy.simplify(c_family - (2 * n - k + 2)) == 0
 
 
+def test_slope_numerator_symbolic():
+    # mu_F - mu_Theta has the sign of c1_F * dim_X - r_X * rank_F.  From the
+    # fixture closed forms that numerator is (n^2 - n - 8)/2 for Bn, which is
+    # (a^2 + 7a + 4)/2 > 0 at n = 4 + a and -1 at n = 3, and -k(k + 1)/2 < 0
+    # for Cn: STAB's third column, n >= 4 for Bn and False for Cn, holds for
+    # every n and k, not only for the n that verify samples
+    n, k, a = sympy.symbols("n k a")
+    closed = {  # dim_X, r_X, rank_F, c1_F
+        Family.BN_SPINOR: (n * (n + 3) / 2, n + 2, 2, 1),
+        Family.CN: (k * (4 * n - 3 * k + 3) / 2, 2 * n - k + 2, k, 1),
+    }
+    numerator = {f: c1_f * dim_x - r_x * rank_f for f, (dim_x, r_x, rank_f, c1_f) in closed.items()}
+    spinor, c_family = numerator[Family.BN_SPINOR], numerator[Family.CN]
+    assert sympy.expand(spinor - (n**2 - n - 8) / 2) == 0
+    shifted = sympy.Poly(sympy.expand(2 * spinor.subs(n, 4 + a)), a)
+    assert shifted == sympy.Poly(a**2 + 7 * a + 4, a) and all(c > 0 for c in shifted.coeffs())
+    assert spinor.subs(n, 3) == -1
+    assert sympy.expand(c_family + k * (k + 1) / 2) == 0
+    # the hand-written polynomials are the fixture lambdas, at every (n, k) with n <= 50
+    for t in enumerate_triples(50):
+        if t.family not in closed:
+            continue
+        bl_h_num, values = fixtures.BL_H_NUM[t.family], {n: sympy.Integer(t.n), k: sympy.Integer(t.k or 0)}
+        lambdas = (bl_h_num["dim_X"](t.n, t.k), bl_h_num["c1_X"](t.n, t.k), *fixtures.CF[t.family](t.n, t.k))
+        assert tuple(sympy.sympify(p).xreplace(values) for p in closed[t.family]) == lambdas, t.triple_id
+        mu_f, mu_theta, unstable = fixtures.STAB[t.family](t.n, t.k)
+        assert bool(numerator[t.family].xreplace(values) > 0) is unstable is (mu_f > mu_theta), t.triple_id
+
+
 class TestFoliation:
     def test_spinor_rows(self):
         for n in (3, 4, 7):
@@ -322,15 +351,41 @@ def test_colour_route_to_the_fano_index():
     "copy_member", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
 def test_family_hashes_by_identity(copy_member):
-    # a pickled or deep-copied member is the member itself, so it finds its
-    # rows in the Family-keyed fixture tables
+    # a pickled or deep-copied member is the member itself, with the same
+    # hash, so it finds its rows in the Family-keyed fixture tables
     for f in Family:
         g = copy_member(f)
-        assert g is f and hash(g) == object.__hash__(f)
+        assert g is f and hash(g) == hash(f)
         tables = (fixtures.CF, fixtures.STAB, *((fixtures.BL_H_NUM,) if f.pinned is None else ()))
         assert all(table[g] is table[f] for table in tables)
     t = TripleSpec(Family.CN, 5, 3)
     assert hash(copy_member(t)) == hash(t)
+
+
+class _CountingTable(dict):
+    """A fixture table that counts its reads by key."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_verify_reads_each_closed_form_once_per_family_run(monkeypatch):
+    # the catalog comes in Family order, so each family is one run of reports
+    # and verify reads each of its tables once for it, not once per triple
+    tables = {name: _CountingTable(getattr(fixtures, name)) for name in ("STAB", "CF", "CF_NUM", "BL_H_NUM")}
+    for name, table in tables.items():
+        monkeypatch.setattr(fixtures, name, table)
+    assert fixtures.verify(12) == []
+    every_family = Counter(dict.fromkeys(Family, 1))
+    horospherical = Counter({f: 1 for f in Family if f.pinned is None})
+    assert tables["STAB"].reads == tables["CF"].reads == every_family
+    assert tables["CF_NUM"].reads == tables["BL_H_NUM"].reads == horospherical
+    assert sum(tables["STAB"].reads.values()) == 7  # of 81 triples
 
 
 class TestOneEvaluationPerTriple:
@@ -428,8 +483,8 @@ class TestHugeRank:
     @staticmethod
     def mismatches(t):
         """fixtures' mismatches for the single-triple report and the batched one."""
-        bl_h_num = fixtures._bl_h_functions()
-        return [fixtures._check_report(r, bl_h_num) for r in (stability_verdict(t), *stability_verdicts([t]))]
+        formulas = fixtures._closed_forms(t.family)
+        return [fixtures._check_report(r, formulas) for r in (stability_verdict(t), *stability_verdicts([t]))]
 
     def test_spinor_family(self):
         assert self.mismatches(TripleSpec(Family.BN_SPINOR, n=HUGE_N)) == [[], []]
