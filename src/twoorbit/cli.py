@@ -33,7 +33,7 @@ from .rootsys import (
 
 FORMATS = ("md", "csv", "json")
 # roots and dim enumerate every positive root: on a 2-vCPU Xeon VM at this cap
-# `roots C100` takes about 0.3 s and `dim C100 1,...,1` about 0.35 s, start-up
+# `roots C100` takes about 0.17 s and `dim C100 1,...,1` about 0.2 s, start-up
 # included; flag uses the diagram path and has no cap
 MAX_ENUMERATION_RANK = 100
 # --max-n cap of table and verify, about 500,000 triples.  md `table` holds

@@ -62,6 +62,7 @@ class _TripleSpecFields(NamedTuple):
 
 class TripleSpec(_TripleSpecFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, family: Family, n: int | None = None, k: int | None = None):
         if type(family) is not Family:

@@ -21,12 +21,20 @@ from typing import Iterable, NamedTuple, Sequence
 
 
 class UnsupportedTypeError(ValueError):
-    """Raised for Dynkin types outside {A, B, C, F4, G2}."""
+    """Raised for a Dynkin series without a row in the series table."""
 
 
-# minimal rank per supported series; F and G also have a fixed rank
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "F": 4, "G": 2}
-_FIXED_RANK = {"F": 4, "G": 2}
+# One row per supported series: (least rank, the one rank of F or G or else
+# None, the chain's multiple bond at rank n as (short node, long node,
+# a[short][long])).  Every other pair of adjacent nodes has a[i][j] = -1, and
+# type A, simply laced, gets (-1, -1, -1), which no pair of its nodes matches.
+_SERIES = {
+    "A": (1, None, lambda n: (-1, -1, -1)),
+    "B": (2, None, lambda n: (n - 1, n - 2, -2)),
+    "C": (2, None, lambda n: (n - 2, n - 1, -2)),
+    "F": (4, 4, lambda n: (2, 1, -2)),
+    "G": (2, 2, lambda n: (1, 0, -3)),
+}
 
 
 def parse_decimal(text: str) -> int:
@@ -48,7 +56,8 @@ def parse_decimal(text: str) -> int:
 
 # The records of this package are immutable NamedTuples.  A validated record
 # is a subclass of its fields' NamedTuple whose __new__ checks the values and
-# calls tuple.__new__ directly, one Python frame per construction.
+# calls tuple.__new__ directly, one Python frame per construction; its _make,
+# which _replace calls, goes through __new__ and checks them too.
 
 
 class _SimpleFactorFields(NamedTuple):
@@ -58,14 +67,17 @@ class _SimpleFactorFields(NamedTuple):
 
 class SimpleFactor(_SimpleFactorFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, series: str, rank: int):
-        if series not in _MIN_RANK:
-            raise UnsupportedTypeError(f"unsupported type {series}{rank}: only A, B, C, F4, G2")
-        if rank < _MIN_RANK[series]:
+        if series not in _SERIES:
+            names = ", ".join(s + str(row[1] or "") for s, row in _SERIES.items())
+            raise UnsupportedTypeError(f"unsupported type {series}{rank}: only {names}")
+        least, fixed, _ = _SERIES[series]
+        if rank < least:
             raise ValueError(f"rank {rank} too small for series {series}")
-        if series in _FIXED_RANK and rank != _FIXED_RANK[series]:
-            raise ValueError(f"series {series} has rank {_FIXED_RANK[series]}")
+        if fixed and rank != fixed:
+            raise ValueError(f"series {series} has rank {fixed}")
         return tuple.__new__(cls, (series, rank))
 
     def __str__(self):
@@ -78,6 +90,7 @@ class _DynkinTypeFields(NamedTuple):
 
 class DynkinType(_DynkinTypeFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, factors: tuple[SimpleFactor, ...]):
         if not factors:
@@ -151,24 +164,9 @@ def weight_label(dynkin: DynkinType, weight: dict[int, int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-# The one multiple bond of each non-simply-laced chain of rank n, as
-# (short node, long node, a[short][long]); every other pair of adjacent nodes
-# has a[i][j] = -1, and type A is simply laced.
-_BOND = {
-    "B": lambda n: (n - 1, n - 2, -2),
-    "C": lambda n: (n - 2, n - 1, -2),
-    "F": lambda n: (2, 1, -2),
-    "G": lambda n: (1, 0, -3),
-}
-
-
 def factor_bond(f: tuple[str, int]) -> tuple[int, int, int]:
-    """(short node, long node, a[short][long]) of one factor's multiple bond, from its (series, rank) pair.
-
-    Type A has none and gets (-1, -1, -1), which no pair of its nodes matches.
-    """
-    series, rank = f
-    return _BOND[series](rank) if series in _BOND else (-1, -1, -1)
+    """(short node, long node, a[short][long]) of a (series, rank) pair's multiple bond; KeyError without a row."""
+    return _SERIES[f[0]][2](f[1])
 
 
 class RootSystem(NamedTuple):

@@ -165,15 +165,32 @@ def test_record_equals_its_plain_tuple():
     (lambda: TripleSpec(Family.BN_SPINOR, True), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, 4, 2.5), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
     (lambda: TripleSpec(Family.CN, Fraction(4), 2), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+    # _replace builds through _make, so both refuse what the constructor refuses
+    (lambda: SimpleFactor._make(("D", 4)), UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
+    (lambda: SimpleFactor("B", 3)._replace(rank=1), ValueError, "rank 1 too small for series B"),
+    (lambda: SimpleFactor("G", 2)._replace(rank=3), ValueError, "series G has rank 2"),
+    (lambda: DynkinType((SimpleFactor("A", 1),))._replace(factors=()), ValueError,
+     "Dynkin type needs at least one factor"),
+    (lambda: TripleSpec(Family.BN_SPINOR, n=5)._replace(n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
+    (lambda: TripleSpec(Family.CN, 5, 3)._replace(k=None), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+    (lambda: TripleSpec._make((Family.PAS_F4, 1, None)), ValueError, "family PasF4 takes no parameters"),
 ], ids=[
     "unsupported", "rank-too-small", "fixed-rank", "no-factor", "spinor-n", "spinor-k", "cn", "no-parameters",
     "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
+    "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-no-factor", "replace-spinor-n",
+    "replace-cn-k", "make-no-parameters",
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_make_and_replace_keep_valid_values():
+    assert SimpleFactor("B", 3)._replace(rank=5) == SimpleFactor("B", 5)
+    assert type(TripleSpec._make((Family.CN, 5, 4))) is TripleSpec
+    assert TripleSpec(Family.CN, 5, 3)._replace(k=4) == TripleSpec(Family.CN, 5, 4)
 
 
 def test_root_system_repr_leaves_out_the_positive_roots():

@@ -264,13 +264,18 @@ def test_run_closed_forms_match_closure(factor):
 def test_walk_follows_a_redrawn_bond_table(monkeypatch):
     """With every multiple bond drawn the other way round, the walk still agrees with the oracle.
 
-    The bond table is then the only thing that says where a chain's multiple
-    bond sits, so a run type read from anything else would disagree here.
+    The bond field of the series table is then the only thing that says
+    where a chain's multiple bond sits, so a run type read from anything else
+    would disagree here.
     """
-    monkeypatch.setitem(rootsys._BOND, "B", lambda n: (0, 1, -2))
-    monkeypatch.setitem(rootsys._BOND, "C", lambda n: (1, 0, -2))
-    monkeypatch.setitem(rootsys._BOND, "F", lambda n: (1, 2, -2))
-    monkeypatch.setitem(rootsys._BOND, "G", lambda n: (0, 1, -3))
+    redrawn = {
+        "B": lambda n: (0, 1, -2),
+        "C": lambda n: (1, 0, -2),
+        "F": lambda n: (1, 2, -2),
+        "G": lambda n: (0, 1, -3),
+    }
+    for series, bond in redrawn.items():
+        monkeypatch.setitem(rootsys._SERIES, series, (*rootsys._SERIES[series][:2], bond))
     factors = [SimpleFactor(s, r) for s in "BC" for r in range(2, 8)]
     factors += [SimpleFactor("F", 4), SimpleFactor("G", 2)]
     for factor in factors:
@@ -280,6 +285,18 @@ def test_walk_follows_a_redrawn_bond_table(monkeypatch):
                 assert_diagram_matches_enumeration(rs, sub)
     for factor in factors:
         assert_run_closed_forms_match_closure(factor)
+
+
+# D4 as an unchecked (series, rank) pair: a bond lookup that fell back to type
+# A would have the walk answer P^4 for the quadric Q^6
+@pytest.mark.parametrize("call", [
+    lambda: factor_bond(("D", 4)),
+    lambda: _walk((("D", 4),), [(0,)]),
+    lambda: build_root_system(DynkinType((tuple.__new__(SimpleFactor, ("D", 4)),))),
+], ids=["factor_bond", "walk", "build_root_system"])
+def test_a_series_without_a_row_raises(call):
+    with pytest.raises(KeyError):
+        call()
 
 
 @st.composite

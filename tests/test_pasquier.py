@@ -1,5 +1,7 @@
 import copy
+import functools
 import itertools
+import operator
 import os
 import pickle
 import resource
@@ -345,6 +347,62 @@ def test_colour_route_to_the_fano_index():
         dynkin, y, z = _layout(t)
         colours = flag_invariants(dynkin, sorted(y + z))[1]
         assert sum(colours.values()) == variety_invariants(t).r_x, t.triple_id
+
+
+def invariant_submodules(t):
+    """(rank, c1) of the whole of g/h and sorted (rank, c1) of its proper P-submodules, from the roots alone.
+
+    Horospherical X contains G/H as its open orbit, with P the intersection of P_Y
+    and P_Z and P/H = C^* (Pasquier 2008), and g/h, multiplicity-free, has the T-weights -alpha for alpha in
+    R+ minus R_L (L the Levi of P) and the weight-0 line p/h.  A P-submodule is p/h with
+    a set S of those roots closed under alpha - alpha_i (any i) and alpha + alpha_j
+    (j unmarked); its rank is |S| + 1 and its c1, on the generator of Pic G/H, is the
+    sum over S of <alpha, alpha_m^vee> over the marked nodes m of Y and Z.
+    """
+    factors, y, z = t.family.layout(t.n, t.k)
+    rs = build_root_system(DynkinType(tuple(SimpleFactor(*f) for f in factors)))
+    marked, nodes = y + z, range(rs.rank)
+    roots = [a for a in rs.positive_roots if any(a[m] for m in marked)]
+    index = {a: i for i, a in enumerate(roots)}
+    steps = [(-1, i) for i in nodes] + [(1, j) for j in nodes if j not in marked]
+    moves = [[index[b] for d, i in steps if (b := a[:i] + (a[i] + d,) + a[i + 1 :]) in index] for a in roots]
+    # the least submodule holding each root, as a bit set over `roots`, grown to a fixed point
+    least, grown = None, [1 << i for i in range(len(roots))]
+    while grown != least:
+        least = grown
+        grown = [m | functools.reduce(operator.or_, (least[j] for j in js), 0) for m, js in zip(least, moves)]
+    # every submodule is a union of these
+    submodules = {0}
+    for m in set(least):
+        submodules |= {s | m for s in submodules}
+    c1 = [sum(a[j] * rs.cartan[m][j] for m in marked for j in nodes) for a in roots]
+    whole = (1 << len(roots)) - 1
+
+    def rank_c1(s):
+        return s.bit_count() + 1, sum(c for i, c in enumerate(c1) if s >> i & 1)
+
+    return rank_c1(whole), sorted(map(rank_c1, submodules - {whole}))
+
+
+# the two pinned families are left out: they are not horospherical, and their
+# g/h is not multiplicity-free
+HOROSPHERICAL_TO_12 = [t for t in enumerate_triples(12) if t.is_horospherical()]
+
+
+@pytest.mark.parametrize("t", HOROSPHERICAL_TO_12, ids=operator.attrgetter("triple_id"))
+def test_invariant_submodules_oracle(t):
+    """The verdict, dim X, r_X and F, against the P-submodules of g/h, which share nothing with the walk."""
+    (dim_x, r_x), proper = invariant_submodules(t)
+    r = stability_verdict(t)
+    v = r.variety
+    assert (dim_x, r_x) == (v.dim_x, v.r_x)
+    top = max(Fraction(c1, rank) for rank, c1 in proper)
+    assert r.verdict is (Verdict.UNSTABLE if top > r.mu_theta else Verdict.STRICTLY_SEMISTABLE_BOUNDARY
+                         if top == r.mu_theta else Verdict.STABLE)
+    assert (v.rank_f, v.c1_f) in proper
+    if t.family is Family.BN_SPINOR:
+        n = t.n
+        assert proper == sorted([(1, 0), (2, 1), (n, 2 - n), (n + 1, 3 - n), (2 * n, 4 - n), (3 * n - 1, 4)])
 
 
 @pytest.mark.parametrize(
