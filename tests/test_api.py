@@ -155,6 +155,10 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("B", 1), ValueError, "rank 1 too small for series B"),
     (lambda: SimpleFactor("G", 3), ValueError, "series G has rank 2"),
     (lambda: DynkinType(()), ValueError, "Dynkin type needs at least one factor"),
+    (lambda: DynkinType((("D", 4),)), ValueError, "Dynkin type factor ('D', 4) is not a SimpleFactor"),
+    (lambda: DynkinType(("B3",)), ValueError, "Dynkin type factor 'B3' is not a SimpleFactor"),
+    (lambda: DynkinType([SimpleFactor("B", 3)]), ValueError,
+     "Dynkin type factors must be a tuple of SimpleFactor, not [SimpleFactor(series='B', rank=3)]"),
     (lambda: TripleSpec(Family.BN_SPINOR, n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.BN_SPINOR, n=5, k=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, n=3, k=4), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
@@ -171,13 +175,17 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("G", 2)._replace(rank=3), ValueError, "series G has rank 2"),
     (lambda: DynkinType((SimpleFactor("A", 1),))._replace(factors=()), ValueError,
      "Dynkin type needs at least one factor"),
+    (lambda: DynkinType((SimpleFactor("A", 1),))._replace(factors=(("B", 3),)), ValueError,
+     "Dynkin type factor ('B', 3) is not a SimpleFactor"),
     (lambda: TripleSpec(Family.BN_SPINOR, n=5)._replace(n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, 5, 3)._replace(k=None), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
     (lambda: TripleSpec._make((Family.PAS_F4, 1, None)), ValueError, "family PasF4 takes no parameters"),
 ], ids=[
-    "unsupported", "rank-too-small", "fixed-rank", "no-factor", "spinor-n", "spinor-k", "cn", "no-parameters",
+    "unsupported", "rank-too-small", "fixed-rank", "no-factor", "pair-factor", "str-factor", "list-factors",
+    "spinor-n", "spinor-k", "cn", "no-parameters",
     "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
-    "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-no-factor", "replace-spinor-n",
+    "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-no-factor", "replace-pair-factor",
+    "replace-spinor-n",
     "replace-cn-k", "make-no-parameters",
 ])
 def test_validation_messages(build, error, message):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -569,9 +570,32 @@ def test_missing_subcommand_exits_two():
 
 def test_run_propagates_exit_status(monkeypatch):
     monkeypatch.setattr("sys.argv", ["twoorbit", "dim", "A1", "1"])
-    with pytest.raises(SystemExit) as exc:
-        cli.run()
-    assert exc.value.code == 0
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        # the rest of the session collects as before
+        gc.unfreeze()
+
+
+def test_run_freezes_the_heap_before_atexit(capsys):
+    # run() leaves the exit-time collection nothing to walk, yet atexit
+    # handlers still run and stdout is what main() prints
+    argv = ["table", "--max-n", "12", "--format", "csv"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    code = (
+        "import atexit, gc, sys; from twoorbit import cli;"
+        " atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count() > 0}'));"
+        f" sys.argv = ['twoorbit', *{argv!r}]; cli.run()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"frozen=True")
+    assert proc.stdout == expected
 
 
 def _read_then_close(argv, lines):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twoorbit
@@ -307,6 +307,19 @@ class TestStability:
         r = stability_verdict(TripleSpec(Family.PAS_A1G2))
         assert (r.mu_f, r.mu_theta) == (Fraction(0), Fraction(3, 4))
         assert r.verdict is Verdict.STABLE
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(), st.integers(min_value=1))
+    @example(-6, 4)
+    @example(0, 5)
+    def test_slope_is_the_reduced_fraction(self, num, den):
+        slope, expected = pasquier._slope(num, den), Fraction(num, den)
+        assert type(slope) is Fraction
+        assert slope == expected and hash(slope) == hash(expected)
+        assert (str(slope), repr(slope)) == (str(expected), repr(expected))
+        assert slope.as_integer_ratio() == expected.as_integer_ratio()
+        assert pickle.loads(pickle.dumps(slope)) == expected
+        assert slope + slope == expected + expected and slope + 1 == expected + 1
 
     def test_unstable_set_up_to_twenty(self):
         unstable = {
