@@ -129,12 +129,12 @@ def cmd_flag(args) -> int:
     dynkin = DynkinType.parse(args.type)
     dimension, anti = flag_invariants(dynkin, parse_nodes(dynkin, args.mark))
     with _printable():
-        marked = ",".join(node_labels(dynkin, anti))
+        marked = ",".join(node_labels(dynkin.factors, anti))
         lines = [
             f"type: {dynkin}  marked: {marked}",
             f"dimension: {dimension}",
             f"picard_rank: {len(anti)}",
-            f"anticanonical: {weight_label(dynkin, anti)}",
+            f"anticanonical: {weight_label(dynkin.factors, anti)}",
         ]
         if len(anti) == 1:
             lines.append(f"index: {next(iter(anti.values()))}")
@@ -266,6 +266,10 @@ def run() -> None:
     try:
         code = main()
         sys.stdout.flush()
+    except SystemExit as exc:
+        # argparse ends a usage error (exit 2) and --help (exit 0) inside main():
+        # that exit too goes through the freeze below, with its status as it is
+        code = exc.code
     except BrokenPipeError:
         # the reader closed stdout early, as `twoorbit table | head` does: send
         # what is left to devnull so the exit flush cannot fail again, and exit

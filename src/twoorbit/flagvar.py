@@ -57,9 +57,12 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
     """(dimension, -K) of G/P, in one walk over the diagram.
 
     `marked` holds 0-based global nodes in strictly increasing order; an
-    empty, unsorted or out-of-range list raises ValueError.  -K is sparse,
-    {marked node: coefficient} in node order.
+    empty, unsorted or out-of-range list, or a node that is not an int, raises
+    ValueError.  -K is sparse, {marked node: coefficient} in node order.
     """
+    # type(i) is int refuses bool as well as float; the catalog calls _walk with ints
+    if not all(type(i) is int for i in marked):
+        raise ValueError(f"marked nodes {list(marked)} must be ints")
     return _walk(dynkin.factors, (marked,))[0]
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .flagvar import _walk
-from .rootsys import DynkinType, SimpleFactor, parse_decimal, weight_label
+from .rootsys import parse_decimal, weight_label
 
 
 class Family(enum.Enum):
@@ -164,12 +164,6 @@ class StabilityReport(NamedTuple):
     verdict: Verdict
 
 
-def _layout(t: TripleSpec) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
-    """The Dynkin type and the Y and Z marked-node tuples of a triple."""
-    factors, y, z = t.family.layout(t.n, t.k)
-    return DynkinType(tuple(itertools.starmap(SimpleFactor, factors))), y, z
-
-
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     """The invariants of Y, Z and X of one triple, from one walk over its Dynkin diagram."""
     return next(_varieties([(*t.family.layout(t.n, t.k), t)]))[1]
@@ -270,7 +264,8 @@ def report_row(r: StabilityReport) -> tuple:
     # as_integer_ratio() reads both ints of a Fraction in one call
     return (
         t.triple_id, t.family._value_, t.n, t.k,
-        v.dim_y, v.c1_y, v.dim_z, c1_z if c1_z is not None else weight_label(_layout(t)[0], v.c1_z),
+        v.dim_y, v.c1_y, v.dim_z,
+        c1_z if c1_z is not None else weight_label(t.family.layout(t.n, t.k)[0], v.c1_z),
         v.dim_x, v.r_x, v.codim_z,
         v.rank_ey, v.c1_ey, v.rank_f, v.c1_f,
         "%d/%d" % r.mu_f.as_integer_ratio(),

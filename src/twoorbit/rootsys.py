@@ -73,6 +73,9 @@ class SimpleFactor(_SimpleFactorFields):
         if series not in _SERIES:
             names = ", ".join(s + str(row[1] or "") for s, row in _SERIES.items())
             raise UnsupportedTypeError(f"unsupported type {series}{rank}: only {names}")
+        # type(x) is int refuses bool as well as float and Fraction
+        if type(rank) is not int:
+            raise ValueError(f"rank of series {series} must be an int, got {rank!r}")
         least, fixed, _ = _SERIES[series]
         if rank < least:
             raise ValueError(f"rank {rank} too small for series {series}")
@@ -106,14 +109,6 @@ class DynkinType(_DynkinTypeFields):
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    def factor_offsets(self) -> list[int]:
-        """Global index of the first node of each factor."""
-        offsets, total = [], 0
-        for f in self.factors:
-            offsets.append(total)
-            total += f.rank
-        return offsets
-
     @classmethod
     def parse(cls, spec: str) -> "DynkinType":
         """Parse a type spec like "B4", "F4" or "A1xG2"."""
@@ -129,17 +124,26 @@ class DynkinType(_DynkinTypeFields):
         return "x".join(str(f) for f in self.factors)
 
 
-def node_labels(dynkin: DynkinType, nodes: Iterable[int]) -> list[str]:
-    """Command-line labels of global nodes, 1-based: "i" for one factor, "f.i" for products."""
-    if len(dynkin.factors) == 1:
+def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
+    """Global index of the first node of each (series, rank) pair."""
+    offsets, total = [], 0
+    for f in factors:
+        offsets.append(total)
+        total += f[1]
+    return offsets
+
+
+def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
+    """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products."""
+    if len(factors) == 1:
         return [str(i + 1) for i in nodes]
-    offsets = dynkin.factor_offsets()
+    offsets = _factor_offsets(factors)
     return [f"{p}.{i - offsets[p - 1] + 1}" for i in nodes for p in [bisect.bisect_right(offsets, i)]]
 
 
 def parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
     """Sorted global nodes of comma-separated labels as node_labels writes them, "i" or "f.i"."""
-    offsets = dynkin.factor_offsets()
+    offsets = _factor_offsets(dynkin.factors)
     indices = set()
     for token in text.split(","):
         token = token.strip()
@@ -163,9 +167,9 @@ def parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
     return sorted(indices)
 
 
-def weight_label(dynkin: DynkinType, weight: dict[int, int]) -> str:
+def weight_label(factors: Sequence[tuple[str, int]], weight: dict[int, int]) -> str:
     """Render a sparse weight {node: coefficient} like "3w1+5w3", or "2w1.1+5w2.2" for products."""
-    terms = [f"{c}w{label}" for c, label in zip(weight.values(), node_labels(dynkin, weight)) if c]
+    terms = [f"{c}w{label}" for c, label in zip(weight.values(), node_labels(factors, weight)) if c]
     return "+".join(terms) if terms else "0"
 
 
@@ -252,7 +256,7 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     n = dynkin.rank
     cartan = [[0] * n for _ in range(n)]
     symmetrizer: list[int] = []
-    for f, off in zip(dynkin.factors, dynkin.factor_offsets()):
+    for f, off in zip(dynkin.factors, _factor_offsets(dynkin.factors)):
         short, long_, bond = factor_bond(f)
         for i in range(f.rank):
             row = cartan[off + i]
@@ -274,8 +278,8 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
 
 
 def check_highest_weight(lam: Sequence[int]) -> None:
-    """Raise ValueError unless the fundamental-weight coefficients `lam` are integral and dominant."""
-    if not all(int(c) == c for c in lam):
+    """Raise ValueError unless the fundamental-weight coefficients `lam` are ints (not bool) and dominant."""
+    if not all(type(c) is int for c in lam):
         raise ValueError(f"highest weight must be integral: {lam}")
     if not all(c >= 0 for c in lam):
         raise ValueError(f"highest weight must be dominant: {lam}")
@@ -293,7 +297,7 @@ def weyl_dim(rs: RootSystem, lam: Sequence[int]) -> int:
         raise ValueError(f"a weight of {rs.dynkin} needs {rs.rank} coefficients, got {len(lam)}")
     check_highest_weight(lam)
     d = rs.symmetrizer
-    shifted = [(int(c) + 1) * dj for c, dj in zip(lam, d)]
+    shifted = [(c + 1) * dj for c, dj in zip(lam, d)]
     nums = [sum(map(operator.mul, shifted, alpha)) for alpha in rs.positive_roots]
     dens = [sum(map(operator.mul, d, alpha)) for alpha in rs.positive_roots]
     # each ratio num/den is at least 1 and above 2**(bits(num) - bits(den) - 1),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from twoorbit.rootsys import RootSystem
+from twoorbit.rootsys import DynkinType, RootSystem, SimpleFactor
 
 
 # --- roots and weights -------------------------------------------------------
@@ -54,6 +54,12 @@ def coroot_pairing(rs: RootSystem, lam: Sequence[int], alpha: tuple[int, ...]) -
     d = rs.symmetrizer
     num = sum(Fraction(c) * d[j] * alpha[j] for j, c in enumerate(lam))
     return 2 * num / root_form(rs, alpha, alpha)
+
+
+def layout_type(t) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
+    """A triple's layout with its factor pairs built into a DynkinType, for build_root_system."""
+    factors, y, z = t.family.layout(t.n, t.k)
+    return DynkinType(tuple(SimpleFactor(*f) for f in factors)), y, z
 
 
 # --- flag varieties by root enumeration --------------------------------------

@@ -17,7 +17,6 @@ from twoorbit.pasquier import (
     Family,
     TripleSpec,
     Verdict,
-    _layout,
     enumerate_triples,
     report_record,
     stability_verdict,
@@ -28,6 +27,7 @@ from oracles import (
     anticanonical_weight,
     flag_dimension,
     freudenthal_dim,
+    layout_type,
     reflection_closure_positive_roots,
 )
 
@@ -94,7 +94,7 @@ def test_criterion_4_exceptional_case_pins():
     v4, fo4 = variety_invariants(f4), stability_verdict(f4).variety
     assert (v4.dim_x, v4.r_x, fo4.rank_f, fo4.c1_f) == (23, 8, 8, 0)
     assert v4.dim_x - v4.dim_y == 8
-    dynkin, y, z = _layout(f4)
+    dynkin, y, z = layout_type(f4)
     rs = build_root_system(dynkin)
     pair = sorted({*y, *z})
     assert anticanonical_weight(rs, pair) == (3, 0, 5, 0)
@@ -103,7 +103,7 @@ def test_criterion_4_exceptional_case_pins():
     vg, fog = variety_invariants(ag), stability_verdict(ag).variety
     assert (vg.dim_x, vg.r_x, fog.rank_f, fog.c1_f) == (8, 6, 3, 0)
     assert vg.dim_x - vg.dim_y == 3
-    dynkin, y, z = _layout(ag)
+    dynkin, y, z = layout_type(ag)
     rs = build_root_system(dynkin)
     pair = sorted({*y, *z})
     assert anticanonical_weight(rs, pair) == (2, 2, 2)

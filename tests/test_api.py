@@ -180,6 +180,12 @@ def test_record_equals_its_plain_tuple():
     (lambda: TripleSpec(Family.BN_SPINOR, n=5)._replace(n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, 5, 3)._replace(k=None), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
     (lambda: TripleSpec._make((Family.PAS_F4, 1, None)), ValueError, "family PasF4 takes no parameters"),
+    # a rank is an int as TripleSpec's n is: no float, bool or Fraction
+    (lambda: SimpleFactor("B", 3.5), ValueError, "rank of series B must be an int, got 3.5"),
+    (lambda: SimpleFactor("G", 2.0), ValueError, "rank of series G must be an int, got 2.0"),
+    (lambda: SimpleFactor("A", True), ValueError, "rank of series A must be an int, got True"),
+    (lambda: SimpleFactor("C", Fraction(3)), ValueError, "rank of series C must be an int, got Fraction(3, 1)"),
+    (lambda: SimpleFactor("B", 3)._replace(rank=4.0), ValueError, "rank of series B must be an int, got 4.0"),
 ], ids=[
     "unsupported", "rank-too-small", "fixed-rank", "no-factor", "pair-factor", "str-factor", "list-factors",
     "spinor-n", "spinor-k", "cn", "no-parameters",
@@ -187,6 +193,7 @@ def test_record_equals_its_plain_tuple():
     "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-no-factor", "replace-pair-factor",
     "replace-spinor-n",
     "replace-cn-k", "make-no-parameters",
+    "float-rank", "float-fixed-rank", "bool-rank", "fraction-rank", "replace-float-rank",
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as exc:

@@ -580,22 +580,28 @@ def test_run_propagates_exit_status(monkeypatch):
         gc.unfreeze()
 
 
-def test_run_freezes_the_heap_before_atexit(capsys):
+def test_run_freezes_the_heap_before_atexit(capsys, monkeypatch):
     # run() leaves the exit-time collection nothing to walk, yet atexit
-    # handlers still run and stdout is what main() prints
-    argv = ["table", "--max-n", "12", "--format", "csv"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out.encode()
-    code = (
-        "import atexit, gc, sys; from twoorbit import cli;"
-        " atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count() > 0}'));"
-        f" sys.argv = ['twoorbit', *{argv!r}]; cli.run()"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"frozen=True")
-    assert proc.stdout == expected
+    # handlers still run, and the exit status, stdout and stderr are main()'s;
+    # a usage error and --help end in argparse's SystemExit and freeze too
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+    for argv in (["table", "--max-n", "12", "--format", "csv"], ["roots"], ["--help"]):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsys.readouterr()
+        code = (
+            "import atexit, gc, sys; from twoorbit import cli;"
+            " atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count() > 0}'));"
+            f" sys.argv = ['twoorbit', *{argv!r}]; cli.run()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (status, err.encode() + b"frozen=True"), argv
+        assert proc.stdout == out.encode(), argv
+    assert status == 0 and out.startswith("usage: twoorbit")
 
 
 def _read_then_close(argv, lines):
@@ -678,7 +684,7 @@ def cli_argv(draw):
         spec, rank = draw(st.sampled_from(BAD_TYPES + (HUGE_TYPES if command == "flag" else []))), 2
         labels = ["1", "2", "1.1"]
     else:
-        spec, rank, labels = str(dynkin), dynkin.rank, node_labels(dynkin, range(dynkin.rank))
+        spec, rank, labels = str(dynkin), dynkin.rank, node_labels(dynkin.factors, range(dynkin.rank))
     if command == "roots":
         return [command, spec]
     if command == "flag":

@@ -166,8 +166,8 @@ def test_nilradical_roots_union_levi_is_everything():
     assert len(nil) + len(levi) == len(rs.positive_roots)
 
 
-# every list the walk refuses, with its message: the out-of-range nodes when
-# there are any, whatever the order of the list
+# every list flag_invariants refuses, with its message: the out-of-range nodes
+# when there are any, whatever the order of the list
 UNSORTED = "must be nonempty and strictly increasing"
 REFUSED = [
     ("B3", (5, 1), "marked nodes [5] out of range 0..2"),
@@ -185,6 +185,11 @@ REFUSED = [
     ("A1xG2xB3", (6,), "marked nodes [6] out of range 0..5"),
     ("A1xG2xB3", (2, 6), "marked nodes [6] out of range 0..5"),
     ("A1xG2xB3", (0, 9, 6), "marked nodes [6, 9] out of range 0..5"),
+    # a node is an int, as TripleSpec's n is: no float or bool
+    ("B3", (0.0,), "marked nodes [0.0] must be ints"),
+    ("B3", (True,), "marked nodes [True] must be ints"),
+    ("A1xG2", (0, 2.0), "marked nodes [0, 2.0] must be ints"),
+    ("F4", (0, 9.5), "marked nodes [0, 9.5] must be ints"),
 ]
 
 

@@ -25,7 +25,6 @@ from twoorbit.pasquier import (
     Family,
     TripleSpec,
     Verdict,
-    _layout,
     enumerate_triples,
     parse_triple_id,
     report_record,
@@ -35,7 +34,7 @@ from twoorbit.pasquier import (
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, SimpleFactor, build_root_system
-from oracles import flag_dimension
+from oracles import flag_dimension, layout_type
 
 
 class TestEnumeration:
@@ -198,18 +197,18 @@ class TestVarietyInvariants:
     def test_open_orbit_dimension_route(self, t):
         # dim X is one more than the flag variety of the joint marking
         v = variety_invariants(t)
-        dynkin, y, z = _layout(t)
+        dynkin, y, z = layout_type(t)
         assert v.dim_x == flag_dimension(build_root_system(dynkin), sorted({*y, *z})) + 1
         if t.is_horospherical():
             f = stability_verdict(t).variety
             assert v.dim_x == v.dim_y + f.rank_ey
 
     def test_lean_path_matches_flag_invariants(self):
-        # variety_invariants puts together the walks of _layout's Y and Z tuples
+        # variety_invariants puts together the walks of the layout's Y and Z tuples
         # and of their union, Z's two factors for PasA1G2 included
         checked = set()
         for t in enumerate_triples(30):
-            dynkin, y, z = _layout(t)
+            dynkin, y, z = layout_type(t)
             (dim_y, anti_y), (dim_z, anti_z), (dim_x, _) = (
                 flag_invariants(dynkin, m) for m in (y, z, sorted({*y, *z}))
             )
@@ -357,7 +356,7 @@ def test_colour_route_to_the_fano_index():
     # For PasF4 (3 + 5) and PasA1G2 (2 + 2 + 2) the match is only an
     # observation; it guards Family.pinned and does not replace it.
     for t in enumerate_triples(100):
-        dynkin, y, z = _layout(t)
+        dynkin, y, z = layout_type(t)
         colours = flag_invariants(dynkin, sorted(y + z))[1]
         assert sum(colours.values()) == variety_invariants(t).r_x, t.triple_id
 
@@ -527,9 +526,10 @@ class TestOneEvaluationPerTriple:
             assert {(factors, m) for m in markings} == set(self.markings(run))
 
 
-def test_no_validated_record_between_layout_and_walk(monkeypatch):
-    # the walk takes a layout's (series, rank) pairs as they are: the catalog
-    # builds a SimpleFactor or DynkinType only to print a weight label
+def test_no_validated_record_between_layout_and_walk(monkeypatch, capsys):
+    # the walk and the weight labels take a layout's (series, rank) pairs as
+    # they are: the catalog builds no SimpleFactor or DynkinType, down to its
+    # printed rows
     built = Counter()
     for cls in (SimpleFactor, DynkinType):
         def counting(kind, *args, _new=cls.__new__, **kwargs):
@@ -539,7 +539,10 @@ def test_no_validated_record_between_layout_and_walk(monkeypatch):
         monkeypatch.setattr(cls, "__new__", counting)
     assert fixtures.verify(12) == []
     for t in enumerate_triples(12):
-        stability_verdict(t)
+        report_record(stability_verdict(t))
+    for fmt in ("md", "csv", "json"):
+        assert cli.main(["table", "--max-n", "12", "--format", fmt]) == 0
+    assert "2w1.1+5w2.2" in capsys.readouterr().out
     assert built == Counter()
     DynkinType.parse("A1xG2")  # the counter sees what is built
     assert built == Counter({"SimpleFactor": 2, "DynkinType": 1})

@@ -60,7 +60,7 @@ def test_node_labels_parse_back(data):
     """parse_nodes reads the labels node_labels writes, in any order, back to sorted global nodes."""
     dynkin = data.draw(dynkin_products())
     nodes = data.draw(st.lists(st.integers(0, dynkin.rank - 1), min_size=1, unique=True))
-    assert parse_nodes(dynkin, ",".join(node_labels(dynkin, nodes))) == sorted(nodes)
+    assert parse_nodes(dynkin, ",".join(node_labels(dynkin.factors, nodes))) == sorted(nodes)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2", "B20", "C20"])
@@ -340,9 +340,15 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             weyl_dim(rs_of("G2"), (-1, 0))
 
-    def test_rejects_non_integral(self):
-        with pytest.raises(ValueError):
-            weyl_dim(rs_of("G2"), (Fraction(1, 2), 0))
+    # a coefficient is an int: a float or bool is refused even where int() reads it
+    @pytest.mark.parametrize(
+        "c", [Fraction(1, 2), float("inf"), float("nan"), 1.0, True], ids=["fraction", "inf", "nan", "float", "bool"]
+    )
+    def test_rejects_non_integral(self, c):
+        with pytest.raises(ValueError) as exc:
+            weyl_dim(rs_of("G2"), [c, 0])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"highest weight must be integral: {[c, 0]}"
 
     @pytest.mark.parametrize("lam", [(1,), (1, 0, 0)])
     def test_rejects_wrong_length(self, lam):
