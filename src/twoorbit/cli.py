@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: roots, flag, dim, table, check, verify.  Exit status is 0 on
+The commands and their arguments are in _COMMANDS.  Exit status is 0 on
 success, 1 on a verification mismatch, 2 on usage or parse errors, 141 when
 stdout is closed before all of the output is written.
 
@@ -10,12 +10,12 @@ the call, `main` reports it as one "error:" line on stderr and exit 2.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import itertools
 import os
 import sys
+import types
 
 # pasquier and fixtures load lazily (see __init__): read their names at call
 # time, never from-import them, or every command pays for loading them
@@ -212,49 +212,92 @@ def cmd_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command grammar, written once: build_parser() makes argparse's parser of
+# it and _plain_args() reads a plain argv with it.  A command maps to its help,
+# its positionals as (dest, help) and its options as (flag, dest, default,
+# required, help).  Its handler is the module function cmd_<command>, looked up
+# when the command is read, so that a handler rebound in this module (as the
+# benchmark's tracer does) is the one that runs
+_MAX_N = ("--max-n", "max_n", "12", False, None)
+_COMMANDS = {
+    "roots": ("list the positive roots of a Dynkin type", [("type", "type spec, e.g. B4, F4, A1xG2")], []),
+    "flag": (
+        "invariants of a generalized flag variety G/P",
+        [("type", None)],
+        [("--mark", "mark", None, True, "marked nodes, e.g. 1,3 or 1.1,2.2")],
+    ),
+    "dim": (
+        "Weyl dimension of a highest-weight representation",
+        [
+            ("type", None),
+            ("weight", "fundamental-weight coefficients, e.g. 0,1; put -- before a weight that starts with -"),
+        ],
+        [],
+    ),
+    "table": (
+        "full catalog table with slopes and verdicts",
+        [],
+        [_MAX_N, ("--format", "format", FORMATS[0], False, None)],
+    ),
+    "check": ("report for a single triple", [("triple_id", 'e.g. "Bn:n=5", "Cn:n=4:k=3", "PasF4"')], []),
+    "verify": ("recompute the embedded fixture tables", [], [_MAX_N]),
+}
+
+
+def build_parser():
+    """The argparse parser of _COMMANDS: it reads every argv, and writes help, usage and usage errors."""
+    import argparse  # here only: a plain argv never needs it, nor gettext and locale, which it loads
+
     parser = argparse.ArgumentParser(
         prog="twoorbit",
         description="Invariants and tangent-bundle stability of the two-orbit Fano catalog.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="list the positive roots of a Dynkin type")
-    p.add_argument("type", help="type spec, e.g. B4, F4, A1xG2")
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("flag", help="invariants of a generalized flag variety G/P")
-    p.add_argument("type")
-    p.add_argument("--mark", required=True, help="marked nodes, e.g. 1,3 or 1.1,2.2")
-    p.set_defaults(func=cmd_flag)
-
-    p = sub.add_parser("dim", help="Weyl dimension of a highest-weight representation")
-    p.add_argument("type")
-    p.add_argument(
-        "weight",
-        help="fundamental-weight coefficients, e.g. 0,1; put -- before a weight that starts with -",
-    )
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("table", help="full catalog table with slopes and verdicts")
-    p.add_argument("--max-n", default="12", dest="max_n")
-    p.add_argument("--format", default="md")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("check", help="report for a single triple")
-    p.add_argument("triple_id", help='e.g. "Bn:n=5", "Cn:n=4:k=3", "PasF4"')
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("verify", help="recompute the embedded fixture tables")
-    p.add_argument("--max-n", default="12", dest="max_n")
-    p.set_defaults(func=cmd_verify)
-
+    for command, (summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        for flag, dest, default, required, text in options:
+            p.add_argument(flag, dest=dest, default=default, required=required, help=text)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
+def _plain_args(argv):
+    """The namespace build_parser() gives for a plain `argv`, or None if `argv` is not plain.
+
+    Plain is a known command, then exactly its positionals and its options in
+    any order, each option spelled in full as a separate "--opt value" pair
+    and given at most once, and no other token that starts with "-".  Every
+    other argv, --help and usage errors among them, is argparse's to read.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *tokens = argv
+    _, positionals, options = _COMMANDS[command]
+    dests = {flag: dest for flag, dest, *_ in options}
+    args = {dest: default for _, dest, default, _, _ in options}
+    given, values = set(), []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        value = next(tokens, "-")  # an option at the end has no value: read it as one that starts with "-"
+        if token not in dests or token in given or value.startswith("-"):
+            return None
+        given.add(token)
+        args[dests[token]] = value
+    if len(values) != len(positionals) or any(required and flag not in given for flag, _, _, required, _ in options):
+        return None
+    args.update(zip([dest for dest, _ in positionals], values))
+    return types.SimpleNamespace(command=command, func=globals()[f"cmd_{command}"], **args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

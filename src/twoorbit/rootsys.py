@@ -135,6 +135,10 @@ def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
 
 def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
     """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products."""
+    if isinstance(factors, DynkinType):
+        # a DynkinType is a 1-tuple holding its factors: read as is, it would
+        # label a product's nodes as if it were one simple factor
+        raise ValueError(f"node labels need (series, rank) factors, not the Dynkin type {factors}: pass its .factors")
     if len(factors) == 1:
         return [str(i + 1) for i in nodes]
     offsets = _factor_offsets(factors)

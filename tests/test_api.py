@@ -58,7 +58,23 @@ def test_cli_import_loads_no_heavy_modules():
     code = "import sys; bare = set(sys.modules); import twoorbit.cli; print(*sorted(set(sys.modules) - bare))"
     added = set(_fresh(code).split())
     assert "twoorbit.cli" in added
-    assert added & {"dataclasses", "inspect", "ast", "dis", "json", "fractions", "decimal"} == set()
+    assert added & {"dataclasses", "inspect", "ast", "dis", "json", "fractions", "decimal", "argparse"} == set()
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["flag", "B3", "--mark", "1"], True),
+    (["table", "--max-n", "3"], True),
+    (["--help"], False),
+], ids=["flag", "table", "help"])
+def test_only_unusual_argv_loads_argparse(argv, plain):
+    """A plain argv is read without argparse, or the gettext and locale it loads; --help is argparse's."""
+    code = (
+        "import contextlib, io, sys; from twoorbit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit): cli.main(sys.argv[1:])\n"
+        "print(*(name for name in ('argparse', 'gettext', 'locale') if name in sys.modules))"
+    )
+    loaded = _fresh(code, *argv).split()
+    assert (loaded == []) if plain else ("argparse" in loaded)
 
 
 @pytest.mark.parametrize("argv, loads_catalog", [

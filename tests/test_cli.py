@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twoorbit
@@ -312,6 +312,41 @@ def test_enumeration_stdout_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
+# (exit status, the stream written, sha256 of what it holds) of --help and of
+# usage errors, recorded with the argparse of Python 3.11 at COLUMNS=80 from
+# the parser the grammar had before it became one table: the other stream is
+# empty.  Other Python versions word and wrap some of these lines differently
+ARGPARSE_PINS = {
+    ("--help",): (0, "out", "01557827b84888eeadf3a50445a27ed4cbfaec38c12452af65c2558eb0268e30"),
+    ("roots", "--help"): (0, "out", "a174bf606702cfb101cc491bc8718be12d73e708f5db8bad24374445b0a9ec15"),
+    ("flag", "--help"): (0, "out", "66cb9aebb9e0a78d63c98a0b953891c081052c72d88dcc66c9680bb764ef732d"),
+    ("dim", "--help"): (0, "out", "72eca3f197d888bd040991511d596ff773a8d8ab72d4805d4d75a63cf61f0e63"),
+    ("table", "--help"): (0, "out", "e3010ac688d2a629b98b2d996f234d3324808891f1478f6beea4fffe09121889"),
+    ("check", "--help"): (0, "out", "d242ed8b3fad51667c990b5fdf9c58ac463d552facca2ef5cda3964aa9f913de"),
+    ("verify", "--help"): (0, "out", "679e3794fe080a3a2486530d5791e89415fbb812a11d0efa6704abceead6f9df"),
+    ("flag", "B3"): (2, "err", "84a8bd64cff66d114f11a588b093402c71b9d1a4765f4ea98b89d4ae8a570f13"),
+    ("flag", "B3", "--mark"): (2, "err", "5e62fbb4c4ed4ff9ddcd89f101d90971e469ce68f4b0c2f5fe3ebfdb683b86ca"),
+    ("table", "--max-n"): (2, "err", "52ac8d46db8d438b6ab14eb377e8f4b7cac08599fcd05758d6a5c7adbf11ca16"),
+    ("dim", "C3", "-1,0,0"): (2, "err", "b9bb1fb0d8acb708c05289178b430b173a13fdca135c73572d3a9c5cf98dd6db"),
+    ("roots", "B3", "C3"): (2, "err", "0f615fbe7b690a25efd7b8b78df5fc4d2f44c34e3532241615fdec7d6b72c931"),
+    ("bogus",): (2, "err", "6edb0b6d2706e6269552c8c2165768134c2a724c7986fe447b4aea78cc736d0b"),
+    (): (2, "err", "3d3b72ff6cfe80a653768dc994c72e2d4a6cd131bcbd5059da55bee1f1707971"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned with the argparse of Python 3.11")
+@pytest.mark.parametrize("argv", list(ARGPARSE_PINS), ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_argparse_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    status, stream, digest = ARGPARSE_PINS[argv]
+    written = capsys.readouterr()._asdict()  # {"out": stdout, "err": stderr}
+    assert exc.value.code == status
+    assert hashlib.sha256(written.pop(stream).encode()).hexdigest() == digest
+    assert list(written.values()) == [""]  # the other stream
+
+
 # the directory that holds the twoorbit package, for child processes
 SRC = str(Path(twoorbit.__file__).resolve().parents[1])
 
@@ -383,6 +418,72 @@ def test_benchmark_references_replay(capsys, command):
     data = out.encode()
     expected = BENCH_REFERENCES[command]
     assert (len(data), hashlib.sha256(data).hexdigest()) == (expected["bytes"], expected["sha256"])
+
+
+def _argparse_args(argv):
+    """vars() of the namespace build_parser() reads from `argv`, or its exit status if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize("command", list(BENCH_REFERENCES))
+def test_benchmark_commands_are_plain(command):
+    # every command the benchmark times skips argparse, and reads as argparse reads it
+    args = cli._plain_args(command.split())
+    assert args is not None
+    assert vars(args) == _argparse_args(command.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max", "5"], ["flag", "B3", "--mark=1"], ["verify", "--max-n", "5", "--max-n", "6"],
+    ["dim", "C3", "--", "-1,0,0"], ["check", "-h"], ["roots", "B3", "C3"], ["flag", "B3"], ["bogus"], [],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_unusual_argv_is_left_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+# argument tokens that argparse reads and the plain reader refuses, mixed with
+# plain ones: full and abbreviated option names, --opt=value, -h, --, values
+# that start with -, the empty string and ordinary values
+VALUES = ["", "B3", "C3", "1", "1,0,0", "5", "csv", "x=y", "Bn:n=5"]
+ARGV_TOKENS = VALUES + [
+    *cli._COMMANDS, "bogus", "--mark", "--max-n", "--format", "--ma", "--max", "--form", "--m",
+    "--mark=1", "--max-n=5", "--format=csv", "-h", "--help", "--", "-", "-1,0", "-1",
+]
+
+
+@st.composite
+def near_plain_argv(draw):
+    """A plain argv of a command, options in any place and each given or not, with up to two tokens edited."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, positionals, options = cli._COMMANDS[command]
+    argv = [[draw(st.sampled_from(VALUES))] for _ in positionals]
+    for flag, *_ in options:
+        if draw(st.booleans()):
+            argv.insert(draw(st.integers(0, len(argv))), [flag, draw(st.sampled_from(VALUES))])
+    argv = [command, *(token for group in argv for token in group)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit != "insert":
+            del argv[at:at + 1]
+        if edit != "delete":
+            argv.insert(at, draw(st.sampled_from(ARGV_TOKENS)))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(near_plain_argv())
+@example(["flag", "--mark", "1", "B3"])
+@example(["table", "--max-n", "5", "--max-n", "6"])
+def test_plain_args_read_as_argparse_does(argv):
+    # whenever the plain reader takes an argv, it reads what argparse reads
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == _argparse_args(argv)
 
 
 class TestTable:

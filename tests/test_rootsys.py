@@ -19,6 +19,7 @@ from twoorbit.rootsys import (
     closure_from_cartan,
     node_labels,
     parse_nodes,
+    weight_label,
     weyl_dim,
 )
 from oracles import (
@@ -61,6 +62,17 @@ def test_node_labels_parse_back(data):
     dynkin = data.draw(dynkin_products())
     nodes = data.draw(st.lists(st.integers(0, dynkin.rank - 1), min_size=1, unique=True))
     assert parse_nodes(dynkin, ",".join(node_labels(dynkin.factors, nodes))) == sorted(nodes)
+
+
+def test_labels_refuse_a_dynkin_type():
+    """A DynkinType is a 1-tuple of its factors: read as factors it would label A1xG2's nodes "1" and "3"."""
+    dynkin = DynkinType.parse("A1xG2")
+    with pytest.raises(ValueError, match=r"pass its \.factors"):
+        node_labels(dynkin, [0, 2])
+    with pytest.raises(ValueError, match=r"pass its \.factors"):
+        weight_label(dynkin, {0: 2, 2: 5})
+    assert node_labels(dynkin.factors, [0, 2]) == ["1.1", "2.2"]
+    assert weight_label(dynkin.factors, {0: 2, 2: 5}) == "2w1.1+5w2.2"
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2", "B20", "C20"])
