@@ -129,12 +129,12 @@ def cmd_flag(args) -> int:
     dynkin = DynkinType.parse(args.type)
     dimension, anti = flag_invariants(dynkin, parse_nodes(dynkin, args.mark))
     with _printable():
-        marked = ",".join(node_labels(dynkin.factors, anti))
+        marked = ",".join(node_labels(dynkin, anti))
         lines = [
             f"type: {dynkin}  marked: {marked}",
             f"dimension: {dimension}",
             f"picard_rank: {len(anti)}",
-            f"anticanonical: {weight_label(dynkin.factors, anti)}",
+            f"anticanonical: {weight_label(dynkin, anti)}",
         ]
         if len(anti) == 1:
             lines.append(f"index: {next(iter(anti.values()))}")

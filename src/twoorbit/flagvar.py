@@ -63,7 +63,7 @@ def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dic
     # type(i) is int refuses bool as well as float; the catalog calls _walk with ints
     if not all(type(i) is int for i in marked):
         raise ValueError(f"marked nodes {list(marked)} must be ints")
-    return _walk(dynkin.factors, (marked,))[0]
+    return _walk(dynkin, (marked,))[0]
 
 
 def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:

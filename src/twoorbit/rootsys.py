@@ -54,10 +54,10 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-# The records of this package are immutable NamedTuples.  A validated record
-# is a subclass of its fields' NamedTuple whose __new__ checks the values and
-# calls tuple.__new__ directly, one Python frame per construction; its _make,
-# which _replace calls, goes through __new__ and checks them too.
+# The records of this package are immutable.  SimpleFactor and TripleSpec are
+# validated NamedTuples: each subclasses its fields' NamedTuple with a __new__
+# that checks the values and calls tuple.__new__ directly, one Python frame per
+# construction; its _make, which _replace calls, goes through __new__ too.
 
 
 class _SimpleFactorFields(NamedTuple):
@@ -87,13 +87,10 @@ class SimpleFactor(_SimpleFactorFields):
         return f"{self.series}{self.rank}"
 
 
-class _DynkinTypeFields(NamedTuple):
-    factors: tuple[SimpleFactor, ...]
+class DynkinType(tuple):
+    """The validated tuple of a product's SimpleFactors, so a sequence of (series, rank) pairs; slices are plain tuples."""
 
-
-class DynkinType(_DynkinTypeFields):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, factors: tuple[SimpleFactor, ...]):
         if not factors:
@@ -103,11 +100,11 @@ class DynkinType(_DynkinTypeFields):
         for f in factors:
             if not isinstance(f, SimpleFactor):
                 raise ValueError(f"Dynkin type factor {f!r} is not a SimpleFactor")
-        return tuple.__new__(cls, (factors,))
+        return tuple.__new__(cls, factors)
 
     @property
     def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
+        return sum(f.rank for f in self)
 
     @classmethod
     def parse(cls, spec: str) -> "DynkinType":
@@ -121,7 +118,10 @@ class DynkinType(_DynkinTypeFields):
         return cls(tuple(factors))
 
     def __str__(self):
-        return "x".join(str(f) for f in self.factors)
+        return "x".join(map(str, self))
+
+    def __repr__(self):
+        return f"DynkinType({tuple(self)!r})"
 
 
 def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
@@ -135,10 +135,6 @@ def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
 
 def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
     """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products."""
-    if isinstance(factors, DynkinType):
-        # a DynkinType is a 1-tuple holding its factors: read as is, it would
-        # label a product's nodes as if it were one simple factor
-        raise ValueError(f"node labels need (series, rank) factors, not the Dynkin type {factors}: pass its .factors")
     if len(factors) == 1:
         return [str(i + 1) for i in nodes]
     offsets = _factor_offsets(factors)
@@ -147,20 +143,20 @@ def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> lis
 
 def parse_nodes(dynkin: DynkinType, text: str) -> list[int]:
     """Sorted global nodes of comma-separated labels as node_labels writes them, "i" or "f.i"."""
-    offsets = _factor_offsets(dynkin.factors)
+    offsets = _factor_offsets(dynkin)
     indices = set()
     for token in text.split(","):
         token = token.strip()
-        if len(dynkin.factors) == 1:
+        if len(dynkin) == 1:
             factor_pos, node_text = 1, token
         else:
             factor_text, dot, node_text = token.partition(".")
             if not dot or not factor_text.isdecimal():
                 raise ValueError(f"node {token!r}: product types need factor-qualified nodes like 1.1")
             factor_pos = parse_decimal(factor_text)
-        if not 1 <= factor_pos <= len(dynkin.factors):
-            raise ValueError(f"node {token!r}: factor out of range 1..{len(dynkin.factors)}")
-        factor = dynkin.factors[factor_pos - 1]
+        if not 1 <= factor_pos <= len(dynkin):
+            raise ValueError(f"node {token!r}: factor out of range 1..{len(dynkin)}")
+        factor = dynkin[factor_pos - 1]
         node = parse_decimal(node_text) if node_text.isdecimal() else 0
         if not 1 <= node <= factor.rank:
             raise ValueError(f"node {token!r}: valid range is 1..{factor.rank} within {factor}")
@@ -260,7 +256,7 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     n = dynkin.rank
     cartan = [[0] * n for _ in range(n)]
     symmetrizer: list[int] = []
-    for f, off in zip(dynkin.factors, _factor_offsets(dynkin.factors)):
+    for f, off in zip(dynkin, _factor_offsets(dynkin)):
         short, long_, bond = factor_bond(f)
         for i in range(f.rank):
             row = cartan[off + i]

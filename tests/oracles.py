@@ -3,13 +3,15 @@
 Each deliberately avoids the code path it checks: roots are enumerated by
 Weyl-reflection closure instead of root strings, representation dimensions
 come from Freudenthal's multiplicity recursion instead of the Weyl product,
-and flag-variety invariants come from enumerating the nilradical roots
-instead of the diagram path of `twoorbit.flagvar`.  The coroot pairings and
+flag-variety invariants come from enumerating the nilradical roots instead
+of the diagram path of `twoorbit.flagvar`, and Poincare polynomials come
+from the heights of the reflection-closure roots.  The coroot pairings and
 root-to-weight conversion those checks use live here too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -193,3 +195,28 @@ def freudenthal_dim(rs: RootSystem, lam: Sequence[int], max_dim: int | None = No
             nxt.append(mu)
         level = nxt
     return dim
+
+
+# --- Poincare polynomials ----------------------------------------------------
+
+
+def poincare_polynomial(rs: RootSystem, marked: Sequence[int]) -> list[int]:
+    """Coefficients of P_{G/P}(q), q = t^2, lowest degree first, for P with the `marked` nodes outside its Levi.
+
+    P_{G/P}(q) = prod over alpha in R+ minus R_L of (1 - q^(ht alpha + 1)) / (1 - q^(ht alpha))
+    (Macdonald, Math. Ann. 1972), over the roots of the Weyl-reflection
+    closure.  The two multisets of exponents are cancelled first; every
+    division that is left is exact, and a remainder fails the assertion.
+    """
+    heights = [sum(a) for a in reflection_closure_positive_roots(rs) if any(a[m] for m in marked)]
+    ups, downs = Counter(h + 1 for h in heights), Counter(heights)
+    poly = [1]
+    for h in (ups - downs).elements():
+        poly = [c - (poly[i - h] if i >= h else 0) for i, c in enumerate(poly + [0] * h)]
+    for h in (downs - ups).elements():
+        # Q = P / (1 - q^h) has Q[i] = P[i] + Q[i - h]
+        for i in range(h, len(poly)):
+            poly[i] += poly[i - h]
+        assert not any(poly[len(poly) - h :]), f"1 - q^{h} does not divide"
+        del poly[len(poly) - h :]
+    return poly

@@ -18,3 +18,11 @@ def dynkin_products(draw, max_rank=12):
         factors.append(SimpleFactor(series, rank))
         left -= rank
     return DynkinType(tuple(factors))
+
+
+@st.composite
+def marked_products(draw, max_rank=12):
+    """A product of A/B/C/F4/G2 factors of total rank <= max_rank, with a marking."""
+    dynkin = draw(dynkin_products(max_rank))
+    marked = draw(st.frozensets(st.integers(0, dynkin.rank - 1), min_size=1))
+    return dynkin, tuple(sorted(marked))

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -115,11 +117,11 @@ def test_catalog_modules_are_registered_before_they_load():
 
 _CN = TripleSpec(Family.CN, n=4, k=3)
 
-# (class, field names, a builder of one value, hashable) for every record type;
-# each call of the builder makes a new object
+# (class, field names, a builder of one value, hashable) for every NamedTuple
+# record type; each call of the builder makes a new object.  DynkinType is the
+# tuple of its factors, with no fields, and has its own contract test below
 RECORDS = [
     (SimpleFactor, ("series", "rank"), lambda: SimpleFactor(series="B", rank=3), True),
-    (DynkinType, ("factors",), lambda: DynkinType(factors=(SimpleFactor("A", 1), SimpleFactor("G", 2))), True),
     (RootSystem, ("dynkin", "cartan", "symmetrizer", "positive_roots"),
      lambda: build_root_system(DynkinType.parse("G2")), True),
     (TripleSpec, ("family", "n", "k"), lambda: TripleSpec(family=Family.CN, n=4, k=3), True),
@@ -153,6 +155,34 @@ class TestRecordContract:
         else:
             with pytest.raises(TypeError):
                 hash(a)
+
+
+def test_dynkin_type_is_the_tuple_of_its_factors():
+    a, b = (DynkinType((SimpleFactor("A", 1), SimpleFactor("G", 2))) for _ in range(2))
+    assert type(a) is DynkinType and isinstance(a, tuple) and [type(f) for f in a] == [SimpleFactor] * 2
+    assert a == b == (("A", 1), ("G", 2)) and a is not b
+    assert hash(a) == hash(b) == hash((("A", 1), ("G", 2)))
+    for name in ("rank", "factors", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(TypeError):
+        a[0] = SimpleFactor("B", 3)
+    assert repr(a) == "DynkinType((SimpleFactor(series='A', rank=1), SimpleFactor(series='G', rank=2)))"
+    rebuilt = eval(repr(a), {"DynkinType": DynkinType, "SimpleFactor": SimpleFactor})
+    assert rebuilt == a and type(rebuilt) is DynkinType
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied == a and type(copied) is DynkinType
+    # slicing or adding makes no DynkinType, so none skips the constructor's checks
+    assert type(a[:1]) is tuple and type(a + a) is tuple and type(a * 2) is tuple
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_copies_of_a_dynkin_type_go_through_its_checks(rebuild):
+    unchecked = tuple.__new__(DynkinType, (("D", 4),))
+    with pytest.raises(ValueError, match=r"^Dynkin type factor \('D', 4\) is not a SimpleFactor$"):
+        rebuild(unchecked)
 
 
 def test_keyword_defaults():
@@ -189,10 +219,6 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor._make(("D", 4)), UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
     (lambda: SimpleFactor("B", 3)._replace(rank=1), ValueError, "rank 1 too small for series B"),
     (lambda: SimpleFactor("G", 2)._replace(rank=3), ValueError, "series G has rank 2"),
-    (lambda: DynkinType((SimpleFactor("A", 1),))._replace(factors=()), ValueError,
-     "Dynkin type needs at least one factor"),
-    (lambda: DynkinType((SimpleFactor("A", 1),))._replace(factors=(("B", 3),)), ValueError,
-     "Dynkin type factor ('B', 3) is not a SimpleFactor"),
     (lambda: TripleSpec(Family.BN_SPINOR, n=5)._replace(n=2), ValueError, "spinor family needs n >= 3 and takes no k"),
     (lambda: TripleSpec(Family.CN, 5, 3)._replace(k=None), ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
     (lambda: TripleSpec._make((Family.PAS_F4, 1, None)), ValueError, "family PasF4 takes no parameters"),
@@ -206,8 +232,7 @@ def test_record_equals_its_plain_tuple():
     "unsupported", "rank-too-small", "fixed-rank", "no-factor", "pair-factor", "str-factor", "list-factors",
     "spinor-n", "spinor-k", "cn", "no-parameters",
     "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
-    "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-no-factor", "replace-pair-factor",
-    "replace-spinor-n",
+    "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-spinor-n",
     "replace-cn-k", "make-no-parameters",
     "float-rank", "float-fixed-rank", "bool-rank", "fraction-rank", "replace-float-rank",
 ])
@@ -226,6 +251,6 @@ def test_make_and_replace_keep_valid_values():
 
 def test_root_system_repr_leaves_out_the_positive_roots():
     assert repr(build_root_system(DynkinType.parse("A1xG2"))) == (
-        "RootSystem(dynkin=DynkinType(factors=(SimpleFactor(series='A', rank=1), SimpleFactor(series='G', rank=2))),"
+        "RootSystem(dynkin=DynkinType((SimpleFactor(series='A', rank=1), SimpleFactor(series='G', rank=2))),"
         " cartan=((2, 0, 0), (0, 2, -1), (0, -3, 2)), symmetrizer=(1, 3, 1))"
     )

@@ -785,7 +785,7 @@ def cli_argv(draw):
         spec, rank = draw(st.sampled_from(BAD_TYPES + (HUGE_TYPES if command == "flag" else []))), 2
         labels = ["1", "2", "1.1"]
     else:
-        spec, rank, labels = str(dynkin), dynkin.rank, node_labels(dynkin.factors, range(dynkin.rank))
+        spec, rank, labels = str(dynkin), dynkin.rank, node_labels(dynkin, range(dynkin.rank))
     if command == "roots":
         return [command, spec]
     if command == "flag":

@@ -14,7 +14,7 @@ from twoorbit.rootsys import (
     factor_bond,
 )
 from oracles import anticanonical_weight, fano_index, flag_dimension, nilradical_roots
-from strategies import dynkin_products
+from strategies import dynkin_products, marked_products
 
 
 def rs_of(spec):
@@ -304,14 +304,6 @@ def test_a_series_without_a_row_raises(call):
         call()
 
 
-@st.composite
-def marked_products(draw, max_rank=12):
-    """A product of A/B/C/F4/G2 factors of total rank <= max_rank, with a marking."""
-    dynkin = draw(dynkin_products(max_rank))
-    marked = draw(st.frozensets(st.integers(0, dynkin.rank - 1), min_size=1))
-    return dynkin, tuple(sorted(marked))
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(marked_products())
 @example((DynkinType.parse("A2xF4"), (1,)))
@@ -344,7 +336,7 @@ def test_one_walk_equals_one_call_per_marking(case):
             expected.append((dimension, list(anti.items())))
     except ValueError as refusal:
         with pytest.raises(ValueError) as exc:
-            _walk(dynkin.factors, markings)
+            _walk(dynkin, markings)
         assert str(exc.value) == str(refusal)
     else:
-        assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin.factors, markings)] == expected
+        assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin, markings)] == expected

@@ -6,10 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twoorbit
+from twoorbit.flagvar import _walk, flag_invariants
 from twoorbit.rootsys import (
     DynkinType,
     RootSystem,
@@ -29,7 +30,7 @@ from oracles import (
     rho,
     root_to_weight,
 )
-from strategies import dynkin_products
+from strategies import dynkin_products, marked_products
 
 
 def rs_of(spec):
@@ -61,18 +62,29 @@ def test_node_labels_parse_back(data):
     """parse_nodes reads the labels node_labels writes, in any order, back to sorted global nodes."""
     dynkin = data.draw(dynkin_products())
     nodes = data.draw(st.lists(st.integers(0, dynkin.rank - 1), min_size=1, unique=True))
-    assert parse_nodes(dynkin, ",".join(node_labels(dynkin.factors, nodes))) == sorted(nodes)
+    assert parse_nodes(dynkin, ",".join(node_labels(dynkin, nodes))) == sorted(nodes)
 
 
-def test_labels_refuse_a_dynkin_type():
-    """A DynkinType is a 1-tuple of its factors: read as factors it would label A1xG2's nodes "1" and "3"."""
+def test_a_product_dynkin_type_labels_by_factor():
     dynkin = DynkinType.parse("A1xG2")
-    with pytest.raises(ValueError, match=r"pass its \.factors"):
-        node_labels(dynkin, [0, 2])
-    with pytest.raises(ValueError, match=r"pass its \.factors"):
-        weight_label(dynkin, {0: 2, 2: 5})
-    assert node_labels(dynkin.factors, [0, 2]) == ["1.1", "2.2"]
-    assert weight_label(dynkin.factors, {0: 2, 2: 5}) == "2w1.1+5w2.2"
+    assert node_labels(dynkin, [0, 2]) == ["1.1", "2.2"]
+    assert weight_label(dynkin, {0: 2, 2: 5}) == "2w1.1+5w2.2"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(marked_products())
+@example((DynkinType.parse("A1xG2"), (0, 2)))
+def test_a_dynkin_type_reads_as_its_factor_pairs(case):
+    """Every function over a type gives for a DynkinType what it gives for its plain (series, rank) pairs."""
+    dynkin, nodes = case
+    pairs = tuple((f.series, f.rank) for f in dynkin)
+    labels = node_labels(dynkin, nodes)
+    assert labels == node_labels(pairs, nodes)
+    assert parse_nodes(dynkin, ",".join(labels)) == list(nodes)
+    weight = dict(zip(nodes, itertools.count(1)))
+    assert weight_label(dynkin, weight) == weight_label(pairs, weight)
+    assert flag_invariants(dynkin, nodes) == flag_invariants(pairs, nodes)
+    assert _walk(dynkin, [nodes]) == _walk(pairs, [nodes])
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2", "A1xG2", "B20", "C20"])
