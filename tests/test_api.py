@@ -117,11 +117,12 @@ def test_catalog_modules_are_registered_before_they_load():
 
 _CN = TripleSpec(Family.CN, n=4, k=3)
 
-# (class, field names, a builder of one value, hashable) for every NamedTuple
-# record type; each call of the builder makes a new object.  DynkinType is the
-# tuple of its factors, with no fields, and has its own contract test below
+# (class, field names, a builder of one value, hashable) for every record type;
+# each call of the builder makes a new object.  DynkinType is the tuple of its
+# factors, with no fields; its own contract test below checks the rest
 RECORDS = [
     (SimpleFactor, ("series", "rank"), lambda: SimpleFactor(series="B", rank=3), True),
+    (DynkinType, (), lambda: DynkinType((SimpleFactor("A", 1), SimpleFactor("G", 2))), True),
     (RootSystem, ("dynkin", "cartan", "symmetrizer", "positive_roots"),
      lambda: build_root_system(DynkinType.parse("G2")), True),
     (TripleSpec, ("family", "n", "k"), lambda: TripleSpec(family=Family.CN, n=4, k=3), True),
@@ -138,7 +139,7 @@ RECORDS = [
 @pytest.mark.parametrize("cls, fields, build, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 class TestRecordContract:
     def test_fields_in_order(self, cls, fields, build, hashable):
-        assert cls._fields == fields
+        assert getattr(cls, "_fields", ()) == fields
         assert isinstance(build(), cls)
 
     def test_immutable(self, cls, fields, build, hashable):
