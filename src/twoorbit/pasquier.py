@@ -76,6 +76,9 @@ class TripleSpec(_TripleSpecFields):
             raise ValueError(family.refusal)
         return tuple.__new__(cls, (family, n, k))
 
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     @property
     def triple_id(self) -> str:
         """The id `parse_triple_id` reads back: the family, then each parameter that is set."""
@@ -95,16 +98,19 @@ def parse_triple_id(text: str) -> TripleSpec:
     """Parse a triple id like "Bn:n=5", "Cn:n=4:k=3" or "PasF4"."""
     parts = text.split(":")
     head, params = parts[0], parts[1:]
-    kwargs: dict[str, int] = {}
+    n = k = None
     for p in params:
         key, _, val = p.partition("=")
         if key not in ("n", "k") or not val.removeprefix("-").isdecimal():
             raise ValueError(f"bad triple parameter {p!r} in {text!r}")
-        if key in kwargs:
+        if key == "n" and n is None:
+            n = parse_decimal(val)
+        elif key == "k" and k is None:
+            k = parse_decimal(val)
+        else:
             raise ValueError(f"triple parameter {key!r} given twice in {text!r}")
-        kwargs[key] = parse_decimal(val)
     # an unknown name goes on as it is, and TripleSpec refuses it
-    return TripleSpec(_FAMILY_BY_NAME.get(head.lower(), head), **kwargs)
+    return TripleSpec(_FAMILY_BY_NAME.get(head.lower(), head), n, k)
 
 
 def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
@@ -114,8 +120,10 @@ def enumerate_triples(max_n: int) -> Iterator[TripleSpec]:
         raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
+    # the ranges come from the Family fields that TripleSpec.__new__ checks, so
+    # each triple is valid as built and skips the checks
     return (
-        TripleSpec(f, n, k)
+        tuple.__new__(TripleSpec, (f, n, k))
         for f in Family for n in _parameters(f.first_n, max_n) for k in _parameters(f.first_k, n)
     )
 
@@ -166,7 +174,7 @@ class StabilityReport(NamedTuple):
 
 def variety_invariants(t: TripleSpec) -> VarietyInvariants:
     """The invariants of Y, Z and X of one triple, from one walk over its Dynkin diagram."""
-    return next(_varieties([(*t.family.layout(t.n, t.k), t)]))[1]
+    return _varieties([(*t.family.layout(t.n, t.k), t)])[0][1]
 
 
 def stability_verdict(t: TripleSpec) -> StabilityReport:
@@ -188,12 +196,12 @@ def stability_verdicts(triples: Iterable[TripleSpec]) -> Iterator[StabilityRepor
             yield _verdict(t, v)
 
 
-def _varieties(run: list) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
-    """(triple, invariants) of each (factors, y, z, triple) entry of `run`, from one engine call.
+def _varieties(run: list) -> list[tuple[TripleSpec, VarietyInvariants]]:
+    """The (triple, invariants) of each (factors, y, z, triple) entry of `run`, in order, from one engine call.
 
     The entries share their factors, as `stability_verdicts` groups them.  A run of
     several triples walks each distinct marking once: in a Cn run, Z of k is Y of
-    k - 1.  Each yielded c1_Z is still a dict of its own.
+    k - 1.  Each c1_Z is still a dict of its own.
     """
     factors = run[0][0]
     # Y and Z mark disjoint nodes; the walk refuses a repeated one
@@ -203,6 +211,7 @@ def _varieties(run: list) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
     else:
         distinct = list(dict.fromkeys(markings))
         walked = map(dict(zip(distinct, _walk(factors, distinct))).__getitem__, markings)
+    varieties = []
     for (_, y, _, t), (dim_y, anti_y), (dim_z, c1_z), (dim_yz, _) in zip(run, walked, walked, walked):
         dim_x = dim_yz + 1
         c1_y = anti_y[y[0]]
@@ -216,7 +225,9 @@ def _varieties(run: list) -> Iterator[tuple[TripleSpec, VarietyInvariants]]:
             rank_f, c1_f = rank_ey, rank_ey - c1_ey
         # a Z marking walked once for two triples of the run gives each its own dict
         c1_z = c1_z.copy()
-        yield t, tuple.__new__(VarietyInvariants, (dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey))
+        varieties.append((t, tuple.__new__(
+            VarietyInvariants, (dim_y, dim_z, dim_x, c1_y, c1_z, r_x, rank_f, c1_f, rank_ey, c1_ey))))
+    return varieties
 
 
 def _slope(num: int, den: int) -> Fraction:

@@ -58,6 +58,9 @@ def parse_decimal(text: str) -> int:
 # validated NamedTuples: each subclasses its fields' NamedTuple with a __new__
 # that checks the values and calls tuple.__new__ directly, one Python frame per
 # construction; its _make, which _replace calls, goes through __new__ too.
+# SimpleFactor, TripleSpec and DynkinType each have a __reduce__ that calls the
+# class, so copy and every pickle protocol check the values again: protocols 0
+# and 1 would otherwise rebuild a tuple subclass through tuple.__new__.
 
 
 class _SimpleFactorFields(NamedTuple):
@@ -83,6 +86,9 @@ class SimpleFactor(_SimpleFactorFields):
             raise ValueError(f"series {series} has rank {fixed}")
         return tuple.__new__(cls, (series, rank))
 
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     def __str__(self):
         return f"{self.series}{self.rank}"
 
@@ -101,6 +107,9 @@ class DynkinType(tuple):
             if not isinstance(f, SimpleFactor):
                 raise ValueError(f"Dynkin type factor {f!r} is not a SimpleFactor")
         return tuple.__new__(cls, factors)
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
     @property
     def rank(self) -> int:

@@ -177,13 +177,34 @@ def test_dynkin_type_is_the_tuple_of_its_factors():
     assert type(a[:1]) is tuple and type(a + a) is tuple and type(a * 2) is tuple
 
 
-@pytest.mark.parametrize("rebuild", [
-    lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy,
-], ids=["pickle", "copy", "deepcopy"])
-def test_copies_of_a_dynkin_type_go_through_its_checks(rebuild):
-    unchecked = tuple.__new__(DynkinType, (("D", 4),))
-    with pytest.raises(ValueError, match=r"^Dynkin type factor \('D', 4\) is not a SimpleFactor$"):
+# each validated record type: (a valid record, one built past __new__, the
+# error and message its constructor gives for the latter)
+_UNCHECKED = {
+    "SimpleFactor": (SimpleFactor("B", 3), tuple.__new__(SimpleFactor, ("D", 4)),
+                     UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
+    "DynkinType": (DynkinType((SimpleFactor("A", 1), SimpleFactor("G", 2))), tuple.__new__(DynkinType, (("D", 4),)),
+                   ValueError, "Dynkin type factor ('D', 4) is not a SimpleFactor"),
+    "TripleSpec": (_CN, tuple.__new__(TripleSpec, (Family.CN, 3, 9)),
+                   ValueError, "C_n family needs n >= 2 and 2 <= k <= n"),
+}
+
+# pickle at every protocol: 0 and 1 rebuild a tuple subclass through
+# tuple.__new__ unless the record's __reduce__ calls its class
+_REBUILDS = {
+    **{f"pickle-{p}": (lambda x, p=p: pickle.loads(pickle.dumps(x, p))) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("rebuild", _REBUILDS.values(), ids=list(_REBUILDS))
+@pytest.mark.parametrize("valid, unchecked, error, message", _UNCHECKED.values(), ids=list(_UNCHECKED))
+def test_copies_of_a_record_go_through_its_checks(valid, unchecked, error, message, rebuild):
+    copied = rebuild(valid)
+    assert copied == valid and type(copied) is type(valid)
+    with pytest.raises(error) as exc:
         rebuild(unchecked)
+    assert str(exc.value) == message
 
 
 def test_keyword_defaults():
