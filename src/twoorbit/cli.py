@@ -214,17 +214,16 @@ def cmd_verify(args) -> int:
 
 # The command grammar, written once: build_parser() makes argparse's parser of
 # it and _plain_args() reads a plain argv with it.  A command maps to its help,
-# its positionals as (dest, help) and its options as (flag, dest, default,
-# required, help).  Its handler is the module function cmd_<command>, looked up
-# when the command is read, so that a handler rebound in this module (as the
-# benchmark's tracer does) is the one that runs
-_MAX_N = ("--max-n", "max_n", "12", False, None)
+# its positionals as (dest, help) and its options as {flag: (default, help)}.
+# An option's dest is argparse's, worked out from its flag, and it is required
+# when its default is None
+_MAX_N = {"--max-n": ("12", None)}
 _COMMANDS = {
-    "roots": ("list the positive roots of a Dynkin type", [("type", "type spec, e.g. B4, F4, A1xG2")], []),
+    "roots": ("list the positive roots of a Dynkin type", [("type", "type spec, e.g. B4, F4, A1xG2")], {}),
     "flag": (
         "invariants of a generalized flag variety G/P",
         [("type", None)],
-        [("--mark", "mark", None, True, "marked nodes, e.g. 1,3 or 1.1,2.2")],
+        {"--mark": (None, "marked nodes, e.g. 1,3 or 1.1,2.2")},
     ),
     "dim": (
         "Weyl dimension of a highest-weight representation",
@@ -232,15 +231,11 @@ _COMMANDS = {
             ("type", None),
             ("weight", "fundamental-weight coefficients, e.g. 0,1; put -- before a weight that starts with -"),
         ],
-        [],
+        {},
     ),
-    "table": (
-        "full catalog table with slopes and verdicts",
-        [],
-        [_MAX_N, ("--format", "format", FORMATS[0], False, None)],
-    ),
-    "check": ("report for a single triple", [("triple_id", 'e.g. "Bn:n=5", "Cn:n=4:k=3", "PasF4"')], []),
-    "verify": ("recompute the embedded fixture tables", [], [_MAX_N]),
+    "table": ("full catalog table with slopes and verdicts", [], {**_MAX_N, "--format": (FORMATS[0], None)}),
+    "check": ("report for a single triple", [("triple_id", 'e.g. "Bn:n=5", "Cn:n=4:k=3", "PasF4"')], {}),
+    "verify": ("recompute the embedded fixture tables", [], _MAX_N),
 }
 
 
@@ -257,9 +252,8 @@ def build_parser():
         p = sub.add_parser(command, help=summary)
         for dest, text in positionals:
             p.add_argument(dest, help=text)
-        for flag, dest, default, required, text in options:
-            p.add_argument(flag, dest=dest, default=default, required=required, help=text)
-        p.set_defaults(func=globals()[f"cmd_{command}"])
+        for flag, (default, text) in options.items():
+            p.add_argument(flag, default=default, required=default is None, help=text)
     return parser
 
 
@@ -275,23 +269,22 @@ def _plain_args(argv):
         return None
     command, *tokens = argv
     _, positionals, options = _COMMANDS[command]
-    dests = {flag: dest for flag, dest, *_ in options}
-    args = {dest: default for _, dest, default, _, _ in options}
-    given, values = set(), []
+    given, values = {}, []
     tokens = iter(tokens)
     for token in tokens:
         if not token.startswith("-"):
             values.append(token)
             continue
         value = next(tokens, "-")  # an option at the end has no value: read it as one that starts with "-"
-        if token not in dests or token in given or value.startswith("-"):
+        if token not in options or token in given or value.startswith("-"):
             return None
-        given.add(token)
-        args[dests[token]] = value
-    if len(values) != len(positionals) or any(required and flag not in given for flag, _, _, required, _ in options):
+        given[token] = value
+    # argparse's dest of each option; a required one left out keeps its default, None
+    args = {flag[2:].replace("-", "_"): given.get(flag, default) for flag, (default, _) in options.items()}
+    if len(values) != len(positionals) or None in args.values():
         return None
     args.update(zip([dest for dest, _ in positionals], values))
-    return types.SimpleNamespace(command=command, func=globals()[f"cmd_{command}"], **args)
+    return types.SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
@@ -299,7 +292,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call: a handler rebound in this module (as the
+        # benchmark's tracer rebinds them) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -143,7 +143,15 @@ def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
 
 
 def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
-    """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products."""
+    """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products.
+
+    A node outside 0..rank-1 of the factors raises ValueError.
+    """
+    nodes = list(nodes)  # the check and the labels both read the nodes: an iterator only once
+    rank = sum(f[1] for f in factors)
+    bad = sorted({i for i in nodes if not 0 <= i < rank})
+    if bad:
+        raise ValueError(f"nodes {bad} out of range 0..{rank - 1}")
     if len(factors) == 1:
         return [str(i + 1) for i in nodes]
     offsets = _factor_offsets(factors)

@@ -4,13 +4,16 @@ Each deliberately avoids the code path it checks: roots are enumerated by
 Weyl-reflection closure instead of root strings, representation dimensions
 come from Freudenthal's multiplicity recursion instead of the Weyl product,
 flag-variety invariants come from enumerating the nilradical roots instead
-of the diagram path of `twoorbit.flagvar`, and Poincare polynomials come
-from the heights of the reflection-closure roots.  The coroot pairings and
-root-to-weight conversion those checks use live here too.
+of the diagram path of `twoorbit.flagvar`, Poincare polynomials come
+from the heights of the reflection-closure roots, and the anticanonical
+degree of a horospherical variety comes from its moment segment.  The
+coroot pairings and root-to-weight conversion those checks use live here
+too.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -220,3 +223,31 @@ def poincare_polynomial(rs: RootSystem, marked: Sequence[int]) -> list[int]:
         assert not any(poly[len(poly) - h :]), f"1 - q^{h} does not divide"
         del poly[len(poly) - h :]
     return poly
+
+
+# --- the moment segment ------------------------------------------------------
+
+
+def anticanonical_degree(rs: RootSystem, y: Sequence[int], z: Sequence[int], dim_x: int, r_x: int) -> Fraction:
+    """(-K_X)^dim X of the horospherical X with closed orbits G/P_Y and G/P_Z, by Brion's integral (Duke 1989).
+
+    The moment polytope of -K_X is the segment p(t) = r_X (t omega_Y +
+    (1 - t) omega_Z), t in [0, 1], of lattice length r_X, and
+    (-K_X)^dim X = (dim X)! r_X int_0^1 prod <p(t), alpha^vee> / <rho, alpha^vee> dt
+    over the roots alpha of R+ with a nonzero coefficient at a node of Y or Z.
+    With d the symmetrizer, <omega_m, alpha^vee> / <rho, alpha^vee> =
+    d_m alpha_m / sum_j d_j alpha_j.  There are dim X - 1 such roots, one
+    for each dimension of G/P_(Y u Z), or the assertion fails.
+    """
+    d = rs.symmetrizer
+    poly = [Fraction(1)]  # coefficients in t, lowest degree first
+    for alpha in rs.positive_roots:
+        at_y, at_z = (sum(d[m] * alpha[m] for m in nodes) for nodes in (y, z))
+        if not at_y and not at_z:
+            continue
+        scale = Fraction(r_x, sum(dj * aj for dj, aj in zip(d, alpha)))
+        # the factor scale * (at_z + (at_y - at_z) t)
+        c0, c1 = scale * at_z, scale * (at_y - at_z)
+        poly = [c0 * a + c1 * b for a, b in zip(poly + [0], [0] + poly)]
+    assert len(poly) == dim_x, f"{len(poly) - 1} roots, against dim X - 1 = {dim_x - 1}"
+    return math.factorial(dim_x) * r_x * sum(c / (i + 1) for i, c in enumerate(poly))

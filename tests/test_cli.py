@@ -461,7 +461,7 @@ def near_plain_argv(draw):
     command = draw(st.sampled_from(list(cli._COMMANDS)))
     _, positionals, options = cli._COMMANDS[command]
     argv = [[draw(st.sampled_from(VALUES))] for _ in positionals]
-    for flag, *_ in options:
+    for flag in options:
         if draw(st.booleans()):
             argv.insert(draw(st.integers(0, len(argv))), [flag, draw(st.sampled_from(VALUES))])
     argv = [command, *(token for group in argv for token in group)]
@@ -479,6 +479,7 @@ def near_plain_argv(draw):
 @given(near_plain_argv())
 @example(["flag", "--mark", "1", "B3"])
 @example(["table", "--max-n", "5", "--max-n", "6"])
+@example(["table", "--format", "csv", "--max-n", "5"])
 def test_plain_args_read_as_argparse_does(argv):
     # whenever the plain reader takes an argv, it reads what argparse reads
     args = cli._plain_args(argv)

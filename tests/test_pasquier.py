@@ -34,7 +34,7 @@ from twoorbit.pasquier import (
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, SimpleFactor, build_root_system
-from oracles import flag_dimension, layout_type, poincare_polynomial
+from oracles import anticanonical_degree, flag_dimension, layout_type, poincare_polynomial
 
 
 class TestEnumeration:
@@ -467,6 +467,37 @@ def test_betti_numbers_by_bialynicki_birula(t):
     if t == TripleSpec(Family.CN, 2, 2):
         # by Lefschetz, the Betti numbers of a smooth hyperplane section of Gr(2, 5)
         assert p_x == [1, 1, 2, 2, 1, 1]
+
+
+# deg_H X = (-K_X)^dim X / r_X^dim X: with k = 2, Cn:n=m is Catalan(2m - 1); the
+# n = 2 member is a smooth hyperplane section of Gr(2, 5), of degree 5 and index 4
+PINNED_DEGREES = {
+    **{f"Cn:n={m}:k=2": c for m, c in zip(range(2, 9), [5, 42, 429, 4862, 58786, 742900, 9694845])},
+    "G2horo": 56, "B3special": 12, "Bn:n=3": 180,
+}
+
+
+# the two pinned families are left out: they are not horospherical, so their
+# moment polytope is not a segment
+@pytest.mark.parametrize(
+    "t", [t for t in enumerate_triples(8) if t.is_horospherical()], ids=operator.attrgetter("triple_id")
+)
+def test_anticanonical_degree_by_the_moment_segment(t):
+    """dim X and r_X against Brion's degree integral over the moment segment, which shares nothing with the walk.
+
+    The oracle asserts that it multiplies dim X - 1 linear factors; the
+    degree in the hyperplane class must be an integer.  That degree does not
+    depend on r_X, which only the pinned (-K)^5 of Cn:n=2:k=2 checks.
+    """
+    v = variety_invariants(t)
+    dynkin, y, z = layout_type(t)
+    degree = anticanonical_degree(build_root_system(dynkin), y, z, v.dim_x, v.r_x)
+    deg_h = degree / v.r_x ** v.dim_x
+    assert deg_h.denominator == 1
+    if t.triple_id in PINNED_DEGREES:
+        assert deg_h == PINNED_DEGREES[t.triple_id]
+    if t == TripleSpec(Family.CN, 2, 2):
+        assert degree == 5120
 
 
 @pytest.mark.parametrize(

@@ -68,7 +68,25 @@ def test_node_labels_parse_back(data):
 def test_a_product_dynkin_type_labels_by_factor():
     dynkin = DynkinType.parse("A1xG2")
     assert node_labels(dynkin, [0, 2]) == ["1.1", "2.2"]
+    assert node_labels(dynkin, iter([0, 2])) == ["1.1", "2.2"]  # an iterator is read once
     assert weight_label(dynkin, {0: 2, 2: 5}) == "2w1.1+5w2.2"
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        (lambda: node_labels((("A", 3),), [5]), "nodes [5] out of range 0..2"),
+        # node -1 must not wrap round to the last factor, nor 3 and 7 run past it
+        (lambda: node_labels((("A", 1), ("G", 2)), [-1, 3, 7]), "nodes [-1, 3, 7] out of range 0..2"),
+        (lambda: node_labels((("A", 1), ("G", 2)), iter([7, 0, 7])), "nodes [7] out of range 0..2"),
+        (lambda: weight_label((("B", 3),), {4: 1}), "nodes [4] out of range 0..2"),
+    ],
+    ids=["one factor", "product", "iterator", "weight"],
+)
+def test_labels_refuse_nodes_outside_the_type(label, message):
+    with pytest.raises(ValueError) as exc:
+        label()
+    assert str(exc.value) == message
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
