@@ -9,9 +9,9 @@ enumerating a root.
 
 from __future__ import annotations
 
-from typing import NoReturn, Sequence
+from typing import Sequence
 
-from .rootsys import DynkinType, factor_bond
+from .rootsys import DynkinType, _check_nodes, factor_bond
 
 
 # The nilradical count is |Phi+(G)| - |Phi+(Levi)|, and the anticanonical
@@ -45,33 +45,26 @@ def _run_data(short: int, long_: int, bond: int, lo: int, hi: int) -> tuple[int,
     return (count, first, last) if long_ <= short else (count, last, first)
 
 
-def _refuse(rank: int, marked: Sequence[int]) -> NoReturn:
-    """Refuse a node list the walk cannot take, naming its nodes outside 0..rank-1 if it has any."""
-    bad = sorted({i for i in marked if not 0 <= i < rank})
-    if bad:
-        raise ValueError(f"marked nodes {bad} out of range 0..{rank - 1}")
-    raise ValueError(f"marked nodes {list(marked)} must be nonempty and strictly increasing")
-
-
 def flag_invariants(dynkin: DynkinType, marked: Sequence[int]) -> tuple[int, dict[int, int]]:
     """(dimension, -K) of G/P, in one walk over the diagram.
 
-    `marked` holds 0-based global nodes in strictly increasing order; an
-    empty, unsorted or out-of-range list, or a node that is not an int, raises
-    ValueError.  -K is sparse, {marked node: coefficient} in node order.
+    `marked` holds 0-based global nodes in strictly increasing order; a node
+    that is not an int, an out-of-range node, or an empty or unsorted list
+    raises ValueError.  -K is sparse, {marked node: coefficient} in node order.
     """
-    # type(i) is int refuses bool as well as float; the catalog calls _walk with ints
-    if not all(type(i) is int for i in marked):
-        raise ValueError(f"marked nodes {list(marked)} must be ints")
+    _check_nodes(dynkin, marked, "marked nodes")
+    if not marked or any(a >= b for a, b in zip(marked, marked[1:])):
+        raise ValueError(f"marked nodes {list(marked)} must be nonempty and strictly increasing")
     return _walk(dynkin, (marked,))[0]
 
 
 def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
     """flag_invariants of each node list in `markings`, reading each factor's bond and root count once.
 
-    `factors` holds unchecked (series, rank) pairs; the first list the walk refuses raises its ValueError.
-    Each list is read in one pass: its nodes go to the current factor until one
-    passes that factor's end, and a factor no node reaches is one Levi run.
+    `factors` holds (series, rank) pairs and `markings` node lists that
+    flag_invariants accepts, both taken as given.  Each list is read in one
+    pass: its nodes go to the current factor until one passes that factor's
+    end, and a factor no node reaches is one Levi run.
     """
     chains, type_rank = [], 0
     for f in factors:
@@ -96,15 +89,11 @@ def _walk(factors: Sequence[tuple[str, int]], markings: Sequence[Sequence[int]])
                     if left >= 0:
                         anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
                     anti[node] -= last * (bond if i == short and i - 1 == long_ else -1)
-                elif i <= left:  # a repeat, a step back or a node before this factor
-                    _refuse(type_rank, marked)
                 left, at = i, at + 1
             if left < top:  # the Levi run left+1..top at the chain's end
                 count, first, _ = _run_data(short, long_, bond, left + 1, top)
                 dimension -= count
                 if left >= 0:
                     anti[offset + left] -= first * (bond if left == short and left + 1 == long_ else -1)
-        if at < size or not size:  # nodes past the last factor, or none
-            _refuse(type_rank, marked)
         results.append((dimension, anti))
     return results

@@ -204,7 +204,7 @@ def _varieties(run: list) -> list[tuple[TripleSpec, VarietyInvariants]]:
     k - 1.  Each c1_Z is still a dict of its own.
     """
     factors = run[0][0]
-    # Y and Z mark disjoint nodes; the walk refuses a repeated one
+    # the walk takes the layouts as given: Y and Z are disjoint, as the layout test checks
     markings = [m for _, y, z, _ in run for m in (y, z, tuple(sorted(y + z)))]
     if len(run) == 1:  # no marking to share
         walked = iter(_walk(factors, markings))

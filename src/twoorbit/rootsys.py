@@ -142,16 +142,24 @@ def _factor_offsets(factors: Sequence[tuple[str, int]]) -> list[int]:
     return offsets
 
 
-def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
-    """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products.
-
-    A node outside 0..rank-1 of the factors raises ValueError.
-    """
-    nodes = list(nodes)  # the check and the labels both read the nodes: an iterator only once
+def _check_nodes(factors: Sequence[tuple[str, int]], nodes: Sequence[int], what: str) -> None:
+    """Raise ValueError, naming the list as `what`, unless every node is an int in 0..rank-1 of `factors`."""
+    # type(i) is int refuses bool as well as float
+    if not all(type(i) is int for i in nodes):
+        raise ValueError(f"{what} {list(nodes)} must be ints")
     rank = sum(f[1] for f in factors)
     bad = sorted({i for i in nodes if not 0 <= i < rank})
     if bad:
-        raise ValueError(f"nodes {bad} out of range 0..{rank - 1}")
+        raise ValueError(f"{what} {bad} out of range 0..{rank - 1}")
+
+
+def node_labels(factors: Sequence[tuple[str, int]], nodes: Iterable[int]) -> list[str]:
+    """Labels of global nodes over (series, rank) `factors`, 1-based: "i" for one factor, "f.i" for products.
+
+    A node that is not an int, or lies outside 0..rank-1 of the factors, raises ValueError.
+    """
+    nodes = list(nodes)  # the check and the labels both read the nodes: an iterator only once
+    _check_nodes(factors, nodes, "nodes")
     if len(factors) == 1:
         return [str(i + 1) for i in nodes]
     offsets = _factor_offsets(factors)

@@ -6,7 +6,8 @@ come from Freudenthal's multiplicity recursion instead of the Weyl product,
 flag-variety invariants come from enumerating the nilradical roots instead
 of the diagram path of `twoorbit.flagvar`, Poincare polynomials come
 from the heights of the reflection-closure roots, and the anticanonical
-degree of a horospherical variety comes from its moment segment.  The
+degree of a horospherical variety and the barycenter of its moment segment
+come from that segment's density.  The
 coroot pairings and root-to-weight conversion those checks use live here
 too.
 """
@@ -228,26 +229,62 @@ def poincare_polynomial(rs: RootSystem, marked: Sequence[int]) -> list[int]:
 # --- the moment segment ------------------------------------------------------
 
 
-def anticanonical_degree(rs: RootSystem, y: Sequence[int], z: Sequence[int], dim_x: int, r_x: int) -> Fraction:
-    """(-K_X)^dim X of the horospherical X with closed orbits G/P_Y and G/P_Z, by Brion's integral (Duke 1989).
+# The conventions of the moment segment, as in Brion (Duke 1989) and Delcroix
+# ("K-stability of Fano spherical varieties", Ann. Sci. ENS 2020):
+# - Polytope: the moment polytope of -K_X, for the horospherical X with closed
+#   orbits G/P_Y and G/P_Z, is the segment r_X [omega_Z, omega_Y] of dominant
+#   weights, itself and not its translate by -2 rho_P.  It is read as
+#   p(t) = r_X (t omega_Y + (1 - t) omega_Z): t = 1 at Y's end, t = 0 at Z's.
+# - Measure: the Duistermaat-Heckman density, the product over the roots
+#   alpha of R+ minus R_L (L the Levi of P = P_Y n P_Z, so the roots with a
+#   nonzero coefficient at a node of Y or Z) of (p, alpha).  Each factor here
+#   is Brion's <p, alpha^vee> / <rho, alpha^vee>, a positive multiple of
+#   (p, alpha), so it moves no barycenter.
+# - Sign: X is K-semistable iff the barycenter minus 2 rho_P, the sum of
+#   R+ minus R_L, lies in the dual of minus the valuation cone.  A horospherical
+#   valuation cone is the whole space, so that dual is 0 and the barycenter
+#   must be 2 rho_P.  2 rho_P = a omega_Y + b omega_Z with a + b = r_X is
+#   p(t0) at t0 = a / r_X; a barycenter t-bar above t0 lies on Y's side of it.
 
-    The moment polytope of -K_X is the segment p(t) = r_X (t omega_Y +
-    (1 - t) omega_Z), t in [0, 1], of lattice length r_X, and
-    (-K_X)^dim X = (dim X)! r_X int_0^1 prod <p(t), alpha^vee> / <rho, alpha^vee> dt
-    over the roots alpha of R+ with a nonzero coefficient at a node of Y or Z.
-    With d the symmetrizer, <omega_m, alpha^vee> / <rho, alpha^vee> =
-    d_m alpha_m / sum_j d_j alpha_j.  There are dim X - 1 such roots, one
-    for each dimension of G/P_(Y u Z), or the assertion fails.
+
+def _segment_density(rs: RootSystem, y: Sequence[int], z: Sequence[int]) -> list[Fraction]:
+    """Coefficients in t, lowest degree first, of prod <t omega_Y + (1 - t) omega_Z, alpha^vee> / <rho, alpha^vee>.
+
+    The product runs over the roots alpha of R+ with a nonzero coefficient at
+    a node of Y or Z.  With d the symmetrizer, <omega_m, alpha^vee> /
+    <rho, alpha^vee> = d_m alpha_m / sum_j d_j alpha_j.
     """
     d = rs.symmetrizer
-    poly = [Fraction(1)]  # coefficients in t, lowest degree first
+    poly = [Fraction(1)]
     for alpha in rs.positive_roots:
         at_y, at_z = (sum(d[m] * alpha[m] for m in nodes) for nodes in (y, z))
         if not at_y and not at_z:
             continue
-        scale = Fraction(r_x, sum(dj * aj for dj, aj in zip(d, alpha)))
+        scale = Fraction(1, sum(dj * aj for dj, aj in zip(d, alpha)))
         # the factor scale * (at_z + (at_y - at_z) t)
         c0, c1 = scale * at_z, scale * (at_y - at_z)
         poly = [c0 * a + c1 * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def anticanonical_degree(rs: RootSystem, y: Sequence[int], z: Sequence[int], dim_x: int, r_x: int) -> Fraction:
+    """(-K_X)^dim X of the horospherical X with closed orbits G/P_Y and G/P_Z, by Brion's integral (Duke 1989).
+
+    The moment polytope of -K_X is the segment p(t), of lattice length r_X, and
+    (-K_X)^dim X = (dim X)! r_X int_0^1 prod <p(t), alpha^vee> / <rho, alpha^vee> dt.
+    Each of the dim X - 1 factors, one for each dimension of G/P_(Y u Z),
+    is r_X times a factor of _segment_density, or the assertion fails.
+    """
+    poly = _segment_density(rs, y, z)
     assert len(poly) == dim_x, f"{len(poly) - 1} roots, against dim X - 1 = {dim_x - 1}"
-    return math.factorial(dim_x) * r_x * sum(c / (i + 1) for i, c in enumerate(poly))
+    return math.factorial(dim_x) * r_x**dim_x * sum(c / (i + 1) for i, c in enumerate(poly))
+
+
+def moment_barycenter(rs: RootSystem, y: Sequence[int], z: Sequence[int]) -> Fraction:
+    """t-bar, where p(t-bar) is the barycenter of the moment segment of -K_X under the Duistermaat-Heckman density.
+
+    t-bar = int_0^1 t f(t) dt / int_0^1 f(t) dt for f the segment density;
+    it does not depend on r_X, which scales every factor alike.
+    """
+    poly = _segment_density(rs, y, z)
+    return sum(c / (i + 2) for i, c in enumerate(poly)) / sum(c / (i + 1) for i, c in enumerate(poly))

