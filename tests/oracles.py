@@ -7,19 +7,25 @@ flag-variety invariants come from enumerating the nilradical roots instead
 of the diagram path of `twoorbit.flagvar`, Poincare polynomials come
 from the heights of the reflection-closure roots, and the anticanonical
 degree of a horospherical variety and the barycenter of its moment segment
-come from that segment's density.  The
-coroot pairings and root-to-weight conversion those checks use live here
-too.
+come from that segment's density.  The lattice oracle,
+`invariant_submodules`, gives every P-submodule of g/p with its rank and
+c1 from the nilradical roots alone, and `harder_narasimhan` reads the
+Harder-Narasimhan filtration off such a lattice.  The coroot pairings and
+root-to-weight conversion those checks use live here too.  Of `twoorbit`
+this module imports `twoorbit.rootsys` alone, which CI checks: an oracle
+that read the walk or the catalog would agree with them by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from twoorbit.rootsys import DynkinType, RootSystem, SimpleFactor
+from twoorbit.rootsys import DynkinType, RootSystem, SimpleFactor, build_root_system
 
 
 # --- roots and weights -------------------------------------------------------
@@ -288,3 +294,60 @@ def moment_barycenter(rs: RootSystem, y: Sequence[int], z: Sequence[int]) -> Fra
     """
     poly = _segment_density(rs, y, z)
     return sum(c / (i + 2) for i, c in enumerate(poly)) / sum(c / (i + 1) for i, c in enumerate(poly))
+
+
+# --- the lattice of invariant submodules ---------------------------------------
+
+
+def invariant_submodules(factors: Sequence[tuple[str, int]], marked: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """Every P-submodule of g/p, as a bit set over R+ minus R_L, with its (rank, c1).
+
+    P is the parabolic with the `marked` nodes outside its Levi L.  g/p has the
+    T-weights -alpha for alpha in R+ minus R_L, each once, so a P-submodule is a
+    set S of those roots closed under alpha - alpha_i (any i) and alpha + alpha_j
+    (j unmarked); bit i of a key stands for the i-th of those roots in the order
+    of `build_root_system`.  The rank of S is |S| and its c1 the sum over S of
+    <alpha, alpha_m^vee> over the marked nodes m: in Pic G/P = Z for a maximal
+    P, and on the generator of Pic G/H for the P = P_Y n P_Z of a horospherical
+    X.  The zero module is the key 0, and g/p the largest key.
+    """
+    rs = build_root_system(DynkinType(tuple(SimpleFactor(*f) for f in factors)))
+    nodes = range(rs.rank)
+    roots = [a for a in rs.positive_roots if any(a[m] for m in marked)]
+    index = {a: i for i, a in enumerate(roots)}
+    steps = [(-1, i) for i in nodes] + [(1, j) for j in nodes if j not in marked]
+    moves = [[index[b] for d, i in steps if (b := a[:i] + (a[i] + d,) + a[i + 1 :]) in index] for a in roots]
+    # the least submodule holding each root, as a bit set over `roots`, grown to a fixed point
+    least, grown = None, [1 << i for i in range(len(roots))]
+    while grown != least:
+        least = grown
+        grown = [m | functools.reduce(operator.or_, (least[j] for j in js), 0) for m, js in zip(least, moves)]
+    # every submodule is a union of these
+    submodules = {0}
+    for m in set(least):
+        submodules |= {s | m for s in submodules}
+    c1 = [sum(a[j] * rs.cartan[m][j] for m in marked for j in nodes) for a in roots]
+    return {s: (s.bit_count(), sum(c for i, c in enumerate(c1) if s >> i & 1)) for s in submodules}
+
+
+def harder_narasimhan(lattice: dict[int, tuple[int, int]]) -> list[tuple[int, Fraction]]:
+    """(rank, slope) of each factor of the Harder-Narasimhan filtration of the largest module of `lattice`, in order.
+
+    `lattice` maps bit sets to (rank, c1), as invariant_submodules gives it: it
+    is closed under union and intersection, and rank and c1 add over bits.
+    From the zero module up, each piece is the module holding the one before
+    with the largest slope of the quotient by it, and the largest of those:
+    the maximal destabilizing submodule of that quotient, which is unique
+    (Harder-Narasimhan, Math. Ann. 1975; Huybrechts-Lehn, "The Geometry of
+    Moduli Spaces of Sheaves", section 1.3).  A semistable module has one
+    factor, itself.
+    """
+    full = lattice[max(lattice)][0]
+    bits, rank, c1, factors = 0, 0, 0, []
+    while rank < full:
+        slope, top, bits = max(
+            (Fraction(c - c1, r - rank), r, s) for s, (r, c) in lattice.items() if s & bits == bits and r > rank
+        )
+        factors.append((top - rank, slope))
+        rank, c1 = lattice[bits]
+    return factors

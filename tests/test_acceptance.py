@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from twoorbit.fixtures import BL_H_NUM, CF, CF_NUM, STAB, verify
+from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
     Family,
     TripleSpec,
@@ -25,7 +26,6 @@ from twoorbit.pasquier import (
 from twoorbit.rootsys import DynkinType, build_root_system, weyl_dim
 from oracles import (
     anticanonical_weight,
-    flag_dimension,
     freudenthal_dim,
     layout_type,
     reflection_closure_positive_roots,
@@ -145,39 +145,33 @@ def test_criterion_6_property_suite():
         dynkin = DynkinType.parse(spec)
         rs = build_root_system(dynkin)
         assert set(rs.positive_roots) == reflection_closure_positive_roots(rs)
-        full = tuple(range(rs.rank))
-        assert anticanonical_weight(rs, full) == (2,) * rs.rank
+        nodes = range(rs.rank)
+        assert flag_invariants(dynkin, nodes) == (len(rs.positive_roots), dict.fromkeys(nodes, 2))
         for size in range(1, rs.rank + 1):
-            for sub in itertools.combinations(range(rs.rank), size):
-                m = sub
-                anti = anticanonical_weight(rs, m)
-                for i, c in enumerate(anti):
-                    assert (c >= 2) if i in sub else (c == 0)
-                for extra in range(rs.rank):
+            for sub in itertools.combinations(nodes, size):
+                dimension, anti = flag_invariants(dynkin, sub)
+                # -K is supported on the marking, at least 2 on each marked node
+                assert list(anti) == list(sub) and min(anti.values()) >= 2
+                for extra in nodes:
                     if extra not in sub:
-                        bigger = tuple(sorted((*sub, extra)))
-                        assert flag_dimension(rs, bigger) > flag_dimension(rs, m)
+                        assert flag_invariants(dynkin, sorted((*sub, extra)))[0] > dimension
                 checked += 1
 
     rng = random.Random(20260824)
     for _ in range(25):
         series = rng.choice(["A", "B", "C"])
         n = rng.randint(2, 12)
-        rs = build_root_system(DynkinType.parse(f"{series}{n}"))
-        sub = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        anti = anticanonical_weight(rs, sorted(sub))
-        for i, c in enumerate(anti):
-            assert (c >= 2) if i in sub else (c == 0)
+        sub = sorted(rng.sample(range(n), rng.randint(1, n)))
+        anti = flag_invariants(DynkinType.parse(f"{series}{n}"), sub)[1]
+        assert list(anti) == sub and min(anti.values()) >= 2
         checked += 1
 
-    # factor additivity on the product type
-    prod = build_root_system(DynkinType.parse("A1xG2"))
-    a1 = build_root_system(DynkinType.parse("A1"))
-    g2 = build_root_system(DynkinType.parse("G2"))
-    for g2_sub in [{0}, {1}, {0, 1}]:
-        joint = sorted({0} | {i + 1 for i in g2_sub})
-        split = flag_dimension(a1, (0,)) + flag_dimension(g2, sorted(g2_sub))
-        assert flag_dimension(prod, joint) == split
+    # factor additivity on the product type, of the dimension and of -K
+    a1 = flag_invariants(DynkinType.parse("A1"), (0,))
+    for g2_sub in [(0,), (1,), (0, 1)]:
+        g2 = flag_invariants(DynkinType.parse("G2"), g2_sub)
+        joint = flag_invariants(DynkinType.parse("A1xG2"), (0, *(i + 1 for i in g2_sub)))
+        assert joint == (a1[0] + g2[0], {**a1[1], **{i + 1: c for i, c in g2[1].items()}})
 
     # serialization round-trip and determinism of the catalog records
     records = [report_record(stability_verdict(t)) for t in enumerate_triples(6)]

@@ -475,7 +475,7 @@ def near_plain_argv(draw):
     return argv
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(near_plain_argv())
 @example(["flag", "--mark", "1", "B3"])
 @example(["table", "--max-n", "5", "--max-n", "6"])
@@ -802,7 +802,7 @@ def cli_argv(draw):
     return [command, spec, *draw(st.sampled_from([["--"], []])), ",".join(weight)]
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cli_argv())
 def test_main_returns_a_status_or_argparse_exits_two(argv):
     out, err = io.StringIO(), io.StringIO()

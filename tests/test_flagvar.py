@@ -29,133 +29,55 @@ def assert_diagram_matches_enumeration(rs, marked):
     assert list(anti) == sorted(marked)
 
 
-class TestKnownVarieties:
-    def test_b3_spinor_variety_is_six_dim_quadric(self):
-        rs = rs_of("B3")
-        m = (2,)
-        assert flag_dimension(rs, m) == 6
-        assert fano_index(rs, m) == 6
-
-    def test_c2_lagrangian_grassmannian(self):
-        rs = rs_of("C2")
-        assert flag_dimension(rs, (1,)) == 3
-
-    def test_f4_node_two_grassmannian(self):
-        rs = rs_of("F4")
-        m = (1,)
-        assert flag_dimension(rs, m) == 20
-        assert fano_index(rs, m) == 5
-
-    def test_f4_node_three_grassmannian(self):
-        rs = rs_of("F4")
-        m = (2,)
-        assert flag_dimension(rs, m) == 20
-        assert fano_index(rs, m) == 7
-
-    def test_f4_adjoint_variety(self):
-        rs = rs_of("F4")
-        assert fano_index(rs, (0,)) == 8
-        assert flag_dimension(rs, (0,)) == 15
-
-    def test_g2_five_dim_quadric(self):
-        rs = rs_of("G2")
-        m = (1,)
-        assert flag_dimension(rs, m) == 5
-        assert fano_index(rs, m) == 5
-
-    def test_g2_adjoint_variety(self):
-        rs = rs_of("G2")
-        m = (0,)
-        assert flag_dimension(rs, m) == 5
-        assert fano_index(rs, m) == 3
-
-    def test_f4_two_step_flag(self):
-        rs = rs_of("F4")
-        m = (0, 2)
-        assert flag_dimension(rs, m) == 22
-        assert anticanonical_weight(rs, m) == (3, 0, 5, 0)
-
-    @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2"])
-    def test_complete_flag_anticanonical_is_two_rho(self, spec):
-        rs = rs_of(spec)
-        m = tuple(range(rs.rank))
-        assert flag_dimension(rs, m) == len(rs.positive_roots)
-        assert anticanonical_weight(rs, m) == (2,) * rs.rank
-
-    def test_g2_complete_flag_dimension(self):
-        rs = rs_of("G2")
-        assert flag_dimension(rs, (0, 1)) == 6
+# (type, marked nodes, dimension, -K) of named flag varieties: the quadrics Q^6
+# of B3 and Q^5 of G2, LG(2, 4) = Q^3, the adjoint varieties of G2 and F4, two
+# more maximal ones of F4, a two-step flag of F4, and complete flags, of
+# dimension |R+| with -K = 2 rho
+KNOWN = [
+    ("B3", (2,), 6, {2: 6}),
+    ("C2", (1,), 3, {1: 3}),
+    ("F4", (0,), 15, {0: 8}),
+    ("F4", (1,), 20, {1: 5}),
+    ("F4", (2,), 20, {2: 7}),
+    ("G2", (0,), 5, {0: 3}),
+    ("G2", (1,), 5, {1: 5}),
+    ("F4", (0, 2), 22, {0: 3, 2: 5}),
+    *((spec, tuple(range(rank)), roots, dict.fromkeys(range(rank), 2))
+      for spec, rank, roots in [("A3", 3, 6), ("B3", 3, 9), ("C3", 3, 9), ("F4", 4, 24), ("G2", 2, 6)]),
+]
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize(
+    "spec,marked,dimension,anti", KNOWN, ids=[f"{s}-{','.join(map(str, m))}" for s, m, _, _ in KNOWN]
+)
+def test_known_flag_varieties(spec, marked, dimension, anti):
+    assert flag_invariants(DynkinType.parse(spec), marked) == (dimension, anti)
+
+
+# the walk's cost does not grow with the rank, so each closed form is also
+# checked at a rank no enumeration could reach
+HUGE = 10**30
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), pytest.param(HUGE, id="1e30")])
 def test_b_series_closed_forms(n):
-    rs = rs_of(f"B{n}")
+    dynkin = DynkinType((SimpleFactor("B", n),))
     # quadric of dimension 2n-1 at the first node
-    first = (0,)
-    assert flag_dimension(rs, first) == 2 * n - 1
-    assert fano_index(rs, first) == 2 * n - 1
+    assert flag_invariants(dynkin, (0,)) == (2 * n - 1, {0: 2 * n - 1})
     # spinor variety at the last node
-    spinor = (n - 1,)
-    assert flag_dimension(rs, spinor) == n * (n + 1) // 2
-    assert fano_index(rs, spinor) == 2 * n
+    assert flag_invariants(dynkin, (n - 1,)) == (n * (n + 1) // 2, {n - 1: 2 * n})
     # the second orthogonal Grassmannian of the two-orbit construction
-    og = (n - 2,)
-    assert flag_dimension(rs, og) == (n + 4) * (n - 1) // 2
-    assert fano_index(rs, og) == n + 1
+    assert flag_invariants(dynkin, (n - 2,)) == ((n + 4) * (n - 1) // 2, {n - 2: n + 1})
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 5) for n in range(2, 13) if k <= n])
+@pytest.mark.parametrize(
+    "k,n",
+    [(k, n) for k in range(1, 5) for n in range(2, 13) if k <= n]
+    + [pytest.param(1, HUGE, id="1-1e30"), pytest.param(HUGE // 10, HUGE, id="1e29-1e30")],
+)
 def test_c_series_closed_forms(n, k):
-    rs = rs_of(f"C{n}")
-    m = (k - 1,)
-    assert flag_dimension(rs, m) == k * (2 * n - k) - k * (k - 1) // 2
-    assert fano_index(rs, m) == 2 * n - k + 1
-
-
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2"])
-def test_dimension_monotone_in_marking(spec):
-    rs = rs_of(spec)
-    nodes = range(rs.rank)
-    for size in range(1, rs.rank):
-        for sub in itertools.combinations(nodes, size):
-            small = flag_dimension(rs, sub)
-            for extra in nodes:
-                if extra in sub:
-                    continue
-                big = flag_dimension(rs, tuple(sorted((*sub, extra))))
-                assert big > small
-
-
-@pytest.mark.parametrize("spec", ["A2", "B4", "C4", "F4", "G2"])
-def test_anticanonical_supported_on_marking(spec):
-    rs = rs_of(spec)
-    for size in range(1, rs.rank + 1):
-        for sub in itertools.combinations(range(rs.rank), size):
-            anti = anticanonical_weight(rs, sub)
-            for i, c in enumerate(anti):
-                if i in sub:
-                    assert c >= 2
-                else:
-                    assert c == 0
-
-
-def test_product_marking_is_additive():
-    prod = rs_of("A1xG2")
-    a1, g2 = rs_of("A1"), rs_of("G2")
-    m = (0, 2)
-    assert flag_dimension(prod, m) == flag_dimension(a1, (0,)) + flag_dimension(g2, (1,))
-    anti = anticanonical_weight(prod, m)
-    assert anti[0] == anticanonical_weight(a1, (0,))[0]
-    assert anti[1:] == anticanonical_weight(g2, (1,))
-
-
-def test_flag_invariants_bundle():
-    rs = rs_of("F4")
-    # one marked node: Picard rank 1, and the Fano index is its coefficient
-    assert flag_invariants(rs.dynkin, (1,)) == (20, {1: 5})
-    # two: Picard rank 2, so `flag` prints no index
-    _, anti = flag_invariants(rs.dynkin, (0, 2))
-    assert len(anti) == 2
+    dimension = k * (2 * n - k) - k * (k - 1) // 2
+    assert flag_invariants(DynkinType((SimpleFactor("C", n),)), (k - 1,)) == (dimension, {k - 1: 2 * n - k + 1})
 
 
 def test_nilradical_roots_union_levi_is_everything():
@@ -194,16 +116,9 @@ REFUSED = [
 
 
 class TestErrors:
-    def test_empty_marking_rejected(self):
-        with pytest.raises(ValueError):
-            flag_invariants(DynkinType.parse("B3"), ())
-
     def test_out_of_range_node(self):
-        rs = rs_of("B3")
         with pytest.raises(ValueError):
-            flag_dimension(rs, (3,))
-        with pytest.raises(ValueError):
-            flag_invariants(rs.dynkin, (5,))
+            flag_dimension(rs_of("B3"), (3,))
 
     @pytest.mark.parametrize(
         "spec,nodes,message", REFUSED, ids=[f"{s}-{','.join(map(str, n)) or 'empty'}" for s, n, _ in REFUSED]
@@ -219,9 +134,12 @@ class TestErrors:
             fano_index(rs, (0, 1))
 
 
-# A1xG2xB3: every marking, so the walk's one pass skips whole factors and
-# stops at the last node of each
-FAST_PATH_TYPES = ["A1", "A4", "B2", "B4", "C4", "F4", "G2", "A1xG2", "A2xB3", "A1xG2xB3", "B12", "C12"]
+# every type of criterion 6 and of KNOWN, so the oracle agrees with the walk
+# wherever the walk is pinned; A1xG2xB3: every marking, so the walk's one pass
+# skips whole factors and stops at the last node of each
+FAST_PATH_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2", "A1xG2", "A2xB3", "A1xG2xB3", "B12", "C12",
+]
 
 
 @pytest.mark.parametrize("spec", FAST_PATH_TYPES)
@@ -304,7 +222,7 @@ def test_a_series_without_a_row_raises(call):
         call()
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(marked_products())
 @example((DynkinType.parse("A2xF4"), (1,)))
 def test_diagram_path_matches_enumeration_on_products(case):
@@ -320,7 +238,7 @@ def batches(draw, max_rank=12):
     return dynkin, draw(st.lists(marking, min_size=1, max_size=3))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(batches())
 @example((DynkinType.parse("A1xG2"), [[1], [0, 2], [0, 1, 2]]))
 @example((DynkinType.parse("B3"), [[0], [1, 2], [2]]))
