@@ -31,8 +31,7 @@ def assert_diagram_matches_enumeration(rs, marked):
 
 # (type, marked nodes, dimension, -K) of named flag varieties: the quadrics Q^6
 # of B3 and Q^5 of G2, LG(2, 4) = Q^3, the adjoint varieties of G2 and F4, two
-# more maximal ones of F4, a two-step flag of F4, and complete flags, of
-# dimension |R+| with -K = 2 rho
+# more maximal ones of F4, and a two-step flag of F4
 KNOWN = [
     ("B3", (2,), 6, {2: 6}),
     ("C2", (1,), 3, {1: 3}),
@@ -42,8 +41,6 @@ KNOWN = [
     ("G2", (0,), 5, {0: 3}),
     ("G2", (1,), 5, {1: 5}),
     ("F4", (0, 2), 22, {0: 3, 2: 5}),
-    *((spec, tuple(range(rank)), roots, dict.fromkeys(range(rank), 2))
-      for spec, rank, roots in [("A3", 3, 6), ("B3", 3, 9), ("C3", 3, 9), ("F4", 4, 24), ("G2", 2, 6)]),
 ]
 
 
@@ -52,6 +49,21 @@ KNOWN = [
 )
 def test_known_flag_varieties(spec, marked, dimension, anti):
     assert flag_invariants(DynkinType.parse(spec), marked) == (dimension, anti)
+
+
+class TestKnownVarieties:
+    # a complete flag G/B has dimension |R+|, counted here by the closure, and -K = 2 rho
+    @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "F4", "G2"])
+    def test_complete_flag_anticanonical_is_two_rho(self, spec):
+        rs = rs_of(spec)
+        nodes = range(rs.rank)
+        assert flag_invariants(rs.dynkin, nodes) == (len(rs.positive_roots), dict.fromkeys(nodes, 2))
+
+    def test_g2_complete_flag_dimension(self):
+        # G2/B is a P^1-bundle over each of the two five-dimensional G2/P
+        g2 = DynkinType.parse("G2")
+        assert flag_invariants(g2, (0, 1))[0] == 6
+        assert flag_invariants(g2, (0,))[0] + 1 == flag_invariants(g2, (1,))[0] + 1 == 6
 
 
 # the walk's cost does not grow with the rank, so each closed form is also
@@ -78,6 +90,33 @@ def test_b_series_closed_forms(n):
 def test_c_series_closed_forms(n, k):
     dimension = k * (2 * n - k) - k * (k - 1) // 2
     assert flag_invariants(DynkinType((SimpleFactor("C", n),)), (k - 1,)) == (dimension, {k - 1: 2 * n - k + 1})
+
+
+# the properties of criterion 6, each on a few types of its own
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2"])
+def test_dimension_monotone_in_marking(spec):
+    dynkin = DynkinType.parse(spec)
+    nodes = range(dynkin.rank)
+    for size in range(1, dynkin.rank):
+        for sub in itertools.combinations(nodes, size):
+            small = flag_invariants(dynkin, sub)[0]
+            for extra in set(nodes) - set(sub):
+                assert flag_invariants(dynkin, sorted((*sub, extra)))[0] > small
+
+
+@pytest.mark.parametrize("spec", ["A2", "B4", "C4", "F4", "G2"])
+def test_anticanonical_supported_on_marking(spec):
+    dynkin = DynkinType.parse(spec)
+    for size in range(1, dynkin.rank + 1):
+        for sub in itertools.combinations(range(dynkin.rank), size):
+            anti = flag_invariants(dynkin, sub)[1]
+            assert list(anti) == list(sub) and min(anti.values()) >= 2
+
+
+def test_product_marking_is_additive():
+    a1_dim, a1_anti = flag_invariants(DynkinType.parse("A1"), (0,))
+    g2_dim, g2_anti = flag_invariants(DynkinType.parse("G2"), (1,))
+    assert flag_invariants(DynkinType.parse("A1xG2"), (0, 2)) == (a1_dim + g2_dim, {0: a1_anti[0], 2: g2_anti[1]})
 
 
 def test_nilradical_roots_union_levi_is_everything():
