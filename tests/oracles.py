@@ -10,7 +10,9 @@ degree of a horospherical variety and the barycenter of its moment segment
 come from that segment's density.  The lattice oracle,
 `invariant_submodules`, gives every P-submodule of g/p with its rank and
 c1 from the nilradical roots alone, and `harder_narasimhan` reads the
-Harder-Narasimhan filtration off such a lattice.  The coroot pairings and
+Harder-Narasimhan filtration off such a lattice.  `horospherical_is_smooth`
+states Pasquier's smoothness criterion from the roots alone, so the catalog
+can be derived instead of read from `Family`.  The coroot pairings and
 root-to-weight conversion those checks use live here too.  Of `twoorbit`
 this module imports `twoorbit.rootsys` alone, which CI checks: an oracle
 that read the walk or the catalog would agree with them by construction.
@@ -31,6 +33,11 @@ from twoorbit.rootsys import DynkinType, RootSystem, SimpleFactor, build_root_sy
 # --- roots and weights -------------------------------------------------------
 # a root is a tuple of simple-root coordinates, a weight a tuple of
 # fundamental-weight coordinates
+
+def rs_of(spec: str) -> RootSystem:
+    """The root system of a type spec such as "B3" or "A1xG2"."""
+    return build_root_system(DynkinType.parse(spec))
+
 
 def is_root(rs: RootSystem, alpha: tuple[int, ...]) -> bool:
     return alpha in rs.positive_roots or tuple(-c for c in alpha) in rs.positive_roots
@@ -94,14 +101,6 @@ def anticanonical_weight(rs: RootSystem, marked: Sequence[int]) -> tuple[int, ..
     """-K_{G/P}: the sum of nilradical roots, in the fundamental-weight basis."""
     nil = nilradical_roots(rs, marked)
     return root_to_weight(rs, tuple(sum(a[j] for a in nil) for j in range(rs.rank)))
-
-
-def fano_index(rs: RootSystem, marked: Sequence[int]) -> int:
-    """Fano index of G/P for a maximal parabolic: the coefficient of -K on its node."""
-    if len(marked) != 1:
-        raise ValueError(f"Fano index needs a maximal parabolic, got marking {sorted(marked)}")
-    (node,) = marked
-    return int(anticanonical_weight(rs, marked)[node])
 
 
 # --- reflection closure and Freudenthal --------------------------------------
@@ -351,3 +350,41 @@ def harder_narasimhan(lattice: dict[int, tuple[int, int]]) -> list[tuple[int, Fr
         factors.append((top - rank, slope))
         rank, c1 = lattice[bits]
     return factors
+
+
+# --- smoothness of a horospherical two-orbit variety ---------------------------
+#
+# For single nodes y and z, the horospherical X with closed orbits Y = G/P_y and
+# Z = G/P_z is the closure of G.[v_y + v_z] in P(V(omega_y) + V(omega_z)).  Near
+# Z it is the unipotent radical of P_z times the cone L_z.v_y in the L_z-module of
+# highest weight omega_y, and a cone is smooth only where it is a vector space.
+# Of L_z only the component C of the diagram without z that holds y acts on that
+# module, so X is smooth along Z exactly when the highest-weight orbit of C fills
+# P(V_C(omega_y)): (C, omega_y) is (A_m, omega_1), (A_m, omega_m) or
+# (C_m, omega_1), B2 = C2 included.  This is Pasquier's smoothness criterion
+# ("Varietes horospheriques de Fano", Bull. SMF 2008), on which his list of the
+# smooth ones of Picard rank one rests (Math. Ann. 2009).  Here it is read as
+# dim C/P_y + 1 = dim V_C(omega_y), both from the roots of C, with no list of
+# types.
+
+
+def _cone_fills_its_module(rs: RootSystem, y: int, z: int) -> bool:
+    """Whether the highest-weight cone of omega_y is all of V_C(omega_y), for C the component of y without z."""
+    component, edge = {y}, [y]
+    while edge:
+        i = edge.pop()
+        for j in range(rs.rank):
+            if rs.cartan[i][j] and j != z and j not in component:
+                component.add(j)
+                edge.append(j)
+    roots = [a for a in rs.positive_roots if all(c == 0 or j in component for j, c in enumerate(a))]
+    # Weyl's product over the roots of C, with <omega_y, alpha^vee> / <rho, alpha^vee> as in _segment_density
+    d = rs.symmetrizer
+    dim_v = math.prod(1 + Fraction(d[y] * a[y], sum(dj * aj for dj, aj in zip(d, a))) for a in roots)
+    return dim_v == sum(1 for a in roots if a[y]) + 1
+
+
+def horospherical_is_smooth(rs: RootSystem, y: Sequence[int], z: Sequence[int]) -> bool:
+    """Pasquier's criterion: the horospherical X of the single nodes Y and Z is smooth along both closed orbits."""
+    (y_node,), (z_node,) = y, z
+    return _cone_fills_its_module(rs, y_node, z_node) and _cone_fills_its_module(rs, z_node, y_node)

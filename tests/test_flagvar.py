@@ -13,12 +13,8 @@ from twoorbit.rootsys import (
     closure_from_cartan,
     factor_bond,
 )
-from oracles import anticanonical_weight, fano_index, flag_dimension, nilradical_roots
+from oracles import anticanonical_weight, flag_dimension, nilradical_roots, rs_of
 from strategies import dynkin_products, marked_products
-
-
-def rs_of(spec):
-    return build_root_system(DynkinType.parse(spec))
 
 
 def assert_diagram_matches_enumeration(rs, marked):
@@ -166,11 +162,6 @@ class TestErrors:
         with pytest.raises(ValueError) as exc:
             flag_invariants(DynkinType.parse(spec), nodes)
         assert str(exc.value) == message
-
-    def test_index_requires_maximal_parabolic(self):
-        rs = rs_of("B3")
-        with pytest.raises(ValueError):
-            fano_index(rs, (0, 1))
 
 
 # every type of criterion 6 and of KNOWN, so the oracle agrees with the walk

@@ -184,39 +184,40 @@ class TestTripleIds:
         assert str(exc.value) == message
 
 
+# the report_row of each member whose `check` stdout is pinned, and of Bn:n=4, the first
+# unstable Bn: its 18 cells in RECORD_FIELDS order, as `check` prints them after
+# their field names, with None printed as nothing
+KNOWN_MEMBERS = [
+    ("PasA1G2", "PasA1G2", None, None, 5, 3, 6, "2w1.1+5w2.2", 8, 6, 2, None, None, 3, 0, "0/1", "3/4", "Stable"),
+    ("PasF4", "PasF4", None, None, 15, 8, 20, 7, 23, 8, 3, None, None, 8, 0, "0/1", "8/23", "Stable"),
+    ("Bn:n=3", "Bn", 3, None, 7, 4, 6, 6, 9, 5, 3, 2, 1, 2, 1, "1/2", "5/9", "Stable"),
+    ("Bn:n=4", "Bn", 4, None, 12, 5, 10, 8, 14, 6, 4, 2, 1, 2, 1, "1/2", "3/7", "Unstable"),
+    ("Bn:n=5", "Bn", 5, None, 18, 6, 15, 10, 20, 7, 5, 2, 1, 2, 1, "1/2", "7/20", "Unstable"),
+    ("Cn:n=4:k=3", "Cn", 4, 3, 12, 6, 11, 7, 15, 7, 4, 3, 2, 3, 1, "1/3", "7/15", "Stable"),
+    ("Bn:n=20000", "Bn", 20000, None, 200029998, 20001, 200010000, 40000, 200030000, 20002, 20000, 2, 1, 2, 1,
+     "1/2", "10001/100015000", "Unstable"),
+    ("Cn:n=3000:k=1500", "Cn", 3000, 1500, 5625750, 4501, 5624248, 4502, 5627250, 4502, 3002, 1500, 1499, 1500, 1,
+     "1/1500", "2251/2813625", "Stable"),
+    ("F4horo", "F4horo", None, None, 20, 5, 20, 7, 23, 6, 3, 3, 2, 3, 1, "1/3", "6/23", "Unstable"),
+    ("G2horo", "G2horo", None, None, 5, 3, 5, 5, 7, 4, 2, 2, 1, 2, 1, "1/2", "4/7", "Stable"),
+    ("B3special", "B3special", None, None, 5, 5, 6, 6, 9, 7, 3, 4, 2, 4, 2, "1/2", "7/9", "Stable"),
+]
+
+
+@pytest.mark.parametrize("row", KNOWN_MEMBERS, ids=operator.itemgetter(0))
+def test_known_catalog_members(capsys, row):
+    assert report_row(stability_verdict(parse_triple_id(row[0]))) == row
+    assert cli.main(["check", row[0]]) == 0
+    lines = (f"{field}: {'' if cell is None else cell}\n" for field, cell in zip(RECORD_FIELDS, row, strict=True))
+    assert capsys.readouterr().out == "".join(lines)
+
+
 class TestVarietyInvariants:
-    def test_spinor_triple_b3(self):
-        v = variety_invariants(TripleSpec(Family.BN_SPINOR, n=3))
-        assert (v.dim_y, v.c1_y) == (7, 4)
-        assert (v.dim_z, v.c1_z_scalar()) == (6, 6)
-        assert (v.dim_x, v.r_x) == (9, 5)
-        assert v.codim_z == 3
-
-    def test_f4_horospherical(self):
-        v = variety_invariants(TripleSpec(Family.F4_HORO))
-        assert (v.dim_y, v.c1_y) == (20, 5)
-        assert (v.dim_z, v.c1_z_scalar()) == (20, 7)
-        assert (v.dim_x, v.r_x) == (23, 6)
-
-    def test_g2_horospherical(self):
-        v = variety_invariants(TripleSpec(Family.G2_HORO))
-        assert (v.dim_y, v.c1_y) == (5, 3)
-        assert (v.dim_z, v.c1_z_scalar()) == (5, 5)
-        assert (v.dim_x, v.r_x) == (7, 4)
-
-    def test_f4_exceptional(self):
-        v = variety_invariants(TripleSpec(Family.PAS_F4))
-        assert (v.dim_y, v.c1_y) == (15, 8)
-        assert (v.dim_z, v.c1_z_scalar()) == (20, 7)
-        assert (v.dim_x, v.r_x) == (23, 8)
-
     def test_a1g2_exceptional(self):
+        # what a printed row cannot show: Z's two coefficients as a dict, and no scalar
         v = variety_invariants(TripleSpec(Family.PAS_A1G2))
-        assert (v.dim_y, v.c1_y) == (5, 3)
-        assert v.dim_z == 6
         assert v.c1_z == {0: 2, 2: 5}
         assert v.c1_z_scalar() is None
-        assert (v.dim_x, v.r_x) == (8, 6)
 
     @pytest.mark.parametrize("t", enumerate_triples(8))
     def test_open_orbit_dimension_route(self, t):
@@ -289,49 +290,7 @@ def test_slope_numerator_symbolic():
         assert bool(numerator[t.family].xreplace(values) > 0) is unstable is (mu_f > mu_theta), t.triple_id
 
 
-class TestFoliation:
-    def test_spinor_rows(self):
-        for n in (3, 4, 7):
-            f = stability_verdict(TripleSpec(Family.BN_SPINOR, n=n)).variety
-            assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (2, 1, 2, 1)
-
-    def test_b3_special_row(self):
-        f = stability_verdict(TripleSpec(Family.B3_SPECIAL)).variety
-        assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (4, 2, 4, 2)
-
-    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (4, 3), (5, 5)])
-    def test_symplectic_rows(self, n, k):
-        f = stability_verdict(TripleSpec(Family.CN, n=n, k=k)).variety
-        assert (f.rank_ey, f.c1_ey, f.rank_f, f.c1_f) == (k, k - 1, k, 1)
-
-    def test_exceptional_rows_have_no_bundle_part(self):
-        f4 = stability_verdict(TripleSpec(Family.PAS_F4)).variety
-        assert (f4.rank_f, f4.c1_f, f4.rank_ey, f4.c1_ey) == (8, 0, None, None)
-        a1g2 = stability_verdict(TripleSpec(Family.PAS_A1G2)).variety
-        assert (a1g2.rank_f, a1g2.c1_f, a1g2.rank_ey, a1g2.c1_ey) == (3, 0, None, None)
-
-
 class TestStability:
-    def test_f4_horospherical_is_unstable(self):
-        r = stability_verdict(TripleSpec(Family.F4_HORO))
-        assert (r.mu_f, r.mu_theta) == (Fraction(1, 3), Fraction(6, 23))
-        assert r.verdict is Verdict.UNSTABLE
-
-    def test_b3_spinor_is_stable(self):
-        r = stability_verdict(TripleSpec(Family.BN_SPINOR, n=3))
-        assert (r.mu_f, r.mu_theta) == (Fraction(1, 2), Fraction(5, 9))
-        assert r.verdict is Verdict.STABLE
-
-    def test_b4_spinor_is_unstable(self):
-        r = stability_verdict(TripleSpec(Family.BN_SPINOR, n=4))
-        assert r.mu_f > r.mu_theta
-        assert r.verdict is Verdict.UNSTABLE
-
-    def test_a1g2_exceptional_is_stable(self):
-        r = stability_verdict(TripleSpec(Family.PAS_A1G2))
-        assert (r.mu_f, r.mu_theta) == (Fraction(0), Fraction(3, 4))
-        assert r.verdict is Verdict.STABLE
-
     @settings(max_examples=300)
     @given(st.integers(), st.integers(min_value=1))
     @example(-6, 4)
@@ -889,37 +848,3 @@ class TestReportRecord:
         record = report_record(report)
         assert list(record) == list(RECORD_FIELDS)
         assert record == dict(zip(RECORD_FIELDS, row))
-
-    def test_scalar_row(self):
-        rec = report_record(stability_verdict(TripleSpec(Family.F4_HORO)))
-        assert rec == {
-            "triple": "F4horo",
-            "family": "F4horo",
-            "n": None,
-            "k": None,
-            "dim_Y": 20,
-            "c1_Y": 5,
-            "dim_Z": 20,
-            "c1_Z": 7,
-            "dim_X": 23,
-            "r_X": 6,
-            "codim_Z": 3,
-            "rank_EY": 3,
-            "c1_EY": 2,
-            "rank_F": 3,
-            "c1_F": 1,
-            "mu_F": "1/3",
-            "mu_Theta": "6/23",
-            "verdict": "Unstable",
-        }
-
-    def test_product_row_keeps_weight_label(self):
-        rec = report_record(stability_verdict(TripleSpec(Family.PAS_A1G2)))
-        assert rec["c1_Z"] == "2w1.1+5w2.2"
-        assert rec["mu_Theta"] == "3/4"
-        assert rec["rank_EY"] is None
-
-    def test_parameters_survive(self):
-        rec = report_record(stability_verdict(TripleSpec(Family.CN, n=4, k=3)))
-        assert (rec["n"], rec["k"]) == (4, 3)
-        assert rec["triple"] == "Cn:n=4:k=3"

@@ -29,12 +29,9 @@ from oracles import (
     reflection_closure_positive_roots,
     rho,
     root_to_weight,
+    rs_of,
 )
 from strategies import dynkin_products, marked_products
-
-
-def rs_of(spec):
-    return build_root_system(DynkinType.parse(spec))
 
 
 # criterion 5 counts the simple types to rank 12
