@@ -13,7 +13,8 @@ c1 from the nilradical roots alone, and `harder_narasimhan` reads the
 Harder-Narasimhan filtration off such a lattice.  `horospherical_is_smooth`
 states Pasquier's smoothness criterion from the roots alone, so the catalog
 can be derived instead of read from `Family`.  The coroot pairings and
-root-to-weight conversion those checks use live here too.  Of `twoorbit`
+root-to-weight conversion those checks use live here too, and the Cartan
+matrices of D_r and E6-E8, which `DynkinType` refuses.  Of `twoorbit`
 this module imports `twoorbit.rootsys` alone, which CI checks: an oracle
 that read the walk or the catalog would agree with them by construction.
 """
@@ -79,6 +80,29 @@ def layout_type(t) -> tuple[DynkinType, tuple[int, ...], tuple[int, ...]]:
     """A triple's layout with its factor pairs built into a DynkinType, for build_root_system."""
     factors, y, z = t.family.layout(t.n, t.k)
     return DynkinType(tuple(SimpleFactor(*f) for f in factors)), y, z
+
+
+# --- simply laced diagrams outside the supported types ------------------------
+# D_r and E6-E8 have no row in the series table, but closure_from_cartan takes
+# any Cartan matrix of finite type
+
+
+def simply_laced_cartan(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The Cartan matrix on nodes 0..n-1 with a single bond on each edge."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    return cartan
+
+
+def d_edges(r: int) -> list[tuple[int, int]]:
+    """The edges of D_r (Bourbaki, 0-based): the chain 0..r-2, and node r-1 on node r-3."""
+    return [(i, i + 1) for i in range(r - 2)] + [(r - 3, r - 1)]
+
+
+# E8's edges (Bourbaki, 0-based: node 1 hangs off node 3); E6 and E7 take the
+# first 5 and 6
+E_EDGES = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 
 
 # --- flag varieties by root enumeration --------------------------------------

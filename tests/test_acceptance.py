@@ -10,9 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from twoorbit.fixtures import BL_H_NUM, CF, CF_NUM, STAB, verify
+from twoorbit.fixtures import BL_H_NUM, CF, CF_NUM, verify
 from twoorbit.flagvar import flag_invariants
 from twoorbit.pasquier import (
     Family,

@@ -222,6 +222,12 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("D", 4), UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
     (lambda: SimpleFactor("B", 1), ValueError, "rank 1 too small for series B"),
     (lambda: SimpleFactor("G", 3), ValueError, "series G has rank 2"),
+    # a type spec is refused with the message of the factor it names
+    (lambda: DynkinType.parse("E8"), UnsupportedTypeError, "unsupported type E8: only A, B, C, F4, G2"),
+    (lambda: DynkinType.parse("C1"), ValueError, "rank 1 too small for series C"),
+    (lambda: DynkinType.parse("F6"), ValueError, "series F has rank 4"),
+    (lambda: DynkinType.parse("G3"), ValueError, "series G has rank 2"),
+    (lambda: DynkinType.parse("A0"), ValueError, "rank 0 too small for series A"),
     (lambda: DynkinType(()), ValueError, "Dynkin type needs at least one factor"),
     (lambda: DynkinType((("D", 4),)), ValueError, "Dynkin type factor ('D', 4) is not a SimpleFactor"),
     (lambda: DynkinType(("B3",)), ValueError, "Dynkin type factor 'B3' is not a SimpleFactor"),
@@ -251,7 +257,9 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("C", Fraction(3)), ValueError, "rank of series C must be an int, got Fraction(3, 1)"),
     (lambda: SimpleFactor("B", 3)._replace(rank=4.0), ValueError, "rank of series B must be an int, got 4.0"),
 ], ids=[
-    "unsupported", "rank-too-small", "fixed-rank", "no-factor", "pair-factor", "str-factor", "list-factors",
+    "unsupported", "rank-too-small", "fixed-rank",
+    "parse-unsupported", "parse-rank-too-small", "parse-fixed-rank-f", "parse-fixed-rank-g", "parse-rank-zero",
+    "no-factor", "pair-factor", "str-factor", "list-factors",
     "spinor-n", "spinor-k", "cn", "no-parameters",
     "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
     "make-unsupported", "replace-rank-too-small", "replace-fixed-rank", "replace-spinor-n",

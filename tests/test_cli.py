@@ -36,38 +36,111 @@ HUGE_ERROR = "error: cannot read the integer 1000000000...: it has 5001 digits, 
 UNPRINTABLE_ERROR = "error: cannot print the result: it has an integer of more than 4300 digits\n"
 
 
-class TestRoots:
-    def test_g2(self, capsys):
-        code, out, _ = run_cli(capsys, "roots", "G2")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "type: G2"
-        assert "  (1,0)" in lines and "  (2,3)" in lines
-        assert lines[-1] == "count: 6"
+# (exit status, stdout, stderr) of each short run of the CLI, whole: every
+# output short enough to read, and every refusal, which prints one error line
+# and exits 2.  Longer outputs are pinned by sha256 in PINNED_STDOUT below
+TRANSCRIPTS = {
+    ("roots", "G2"): (0, (
+        "type: G2\nCartan matrix:\n  [  2  -1]\n  [ -3   2]\npositive roots (simple-root coordinates):\n"
+        "  (0,1)\n  (1,0)\n  (1,1)\n  (1,2)\n  (1,3)\n  (2,3)\ncount: 6\n"
+    ), ""),
+    ("roots", "A1"): (
+        0, "type: A1\nCartan matrix:\n  [  2]\npositive roots (simple-root coordinates):\n  (1)\ncount: 1\n", ""
+    ),
+    ("roots", "E8"): (2, "", "error: unsupported type E8: only A, B, C, F4, G2\n"),
+    ("roots", "Q9"): (2, "", "error: unsupported type Q9: only A, B, C, F4, G2\n"),
+    ("roots", "B\u00b2"): (2, "", "error: cannot parse factor 'B\u00b2' in type spec 'B\u00b2'\n"),
+    ("roots", "A" + HUGE): (2, "", HUGE_ERROR),
+    # flag reads the diagram alone, so the rank cap of roots and dim does not
+    # hold: the quadrics Q^201 and Q^(2n - 1) at n = 10^20 - 1
+    ("flag", "B101", "--mark", "1"): (
+        0, "type: B101  marked: 1\ndimension: 201\npicard_rank: 1\nanticanonical: 201w1\nindex: 201\n", ""
+    ),
+    ("flag", "B99999999999999999999", "--mark", "1"): (0, (
+        "type: B99999999999999999999  marked: 1\ndimension: 199999999999999999997\npicard_rank: 1\n"
+        "anticanonical: 199999999999999999997w1\nindex: 199999999999999999997\n"
+    ), ""),
+    ("flag", "F4", "--mark", "1"): (
+        0, "type: F4  marked: 1\ndimension: 15\npicard_rank: 1\nanticanonical: 8w1\nindex: 8\n", ""
+    ),
+    # the nodes in either order print the same bytes, and a Picard rank above 1 no index line
+    ("flag", "F4", "--mark", "1,3"): (
+        0, "type: F4  marked: 1,3\ndimension: 22\npicard_rank: 2\nanticanonical: 3w1+5w3\n", ""
+    ),
+    ("flag", "F4", "--mark", "3,1"): (
+        0, "type: F4  marked: 1,3\ndimension: 22\npicard_rank: 2\nanticanonical: 3w1+5w3\n", ""
+    ),
+    ("flag", "B3", "--mark", "1,2,3"): (
+        0, "type: B3  marked: 1,2,3\ndimension: 9\npicard_rank: 3\nanticanonical: 2w1+2w2+2w3\n", ""
+    ),
+    ("flag", "A1xG2", "--mark", "1.1,2.2"): (
+        0, "type: A1xG2  marked: 1.1,2.2\ndimension: 6\npicard_rank: 2\nanticanonical: 2w1.1+5w2.2\n", ""
+    ),
+    ("flag", "A1xG2", "--mark", "2"): (
+        2, "", "error: node '2': product types need factor-qualified nodes like 1.1\n"
+    ),
+    ("flag", "B3", "--mark", "1,1"): (2, "", "error: node '1' is marked twice\n"),
+    ("flag", "A1xG2", "--mark", "1.1,1.1"): (2, "", "error: node '1.1' is marked twice\n"),
+    ("flag", "B3", "--mark", "\u00b2"): (2, "", "error: node '\u00b2': valid range is 1..3 within B3\n"),
+    ("flag", "A1xG2", "--mark", "\u00b2.1"): (
+        2, "", "error: node '\u00b2.1': product types need factor-qualified nodes like 1.1\n"
+    ),
+    ("flag", "A1xG2", "--mark", "1.\u00b2"): (2, "", "error: node '1.\u00b2': valid range is 1..1 within A1\n"),
+    ("flag", "B3", "--mark", "4"): (2, "", "error: node '4': valid range is 1..3 within B3\n"),
+    ("flag", "A1xG2", "--mark", "3.1"): (2, "", "error: node '3.1': factor out of range 1..2\n"),
+    ("flag", "A1xG2", "--mark", "0.1"): (2, "", "error: node '0.1': factor out of range 1..2\n"),
+    ("flag", "B3", "--mark", ""): (2, "", "error: node '': valid range is 1..3 within B3\n"),
+    ("flag", "B3", "--mark", ","): (2, "", "error: node '': valid range is 1..3 within B3\n"),
+    # a rank of 3,001 digits is parsed, but the dimension has about 6,000
+    ("flag", "B1" + "0" * 3000, "--mark", "1" + "0" * 2999): (2, "", UNPRINTABLE_ERROR),
+    ("flag", "B3", "--mark", HUGE): (2, "", HUGE_ERROR),
+    ("flag", "A1xG2", "--mark", HUGE + ".1"): (2, "", HUGE_ERROR),
+    ("flag", "A1xG2", "--mark", "1." + HUGE): (2, "", HUGE_ERROR),
+    ("flag", "B" + HUGE, "--mark", "1"): (2, "", HUGE_ERROR),
+    ("dim", "G2", "0,1"): (0, "7\n", ""),
+    ("dim", "F4", "1,1,1,1"): (0, "16777216\n", ""),
+    ("dim", "G2", "0,1,0"): (2, "", "error: weight needs 2 coefficients, got 3\n"),
+    ("dim", "G2", "0,-1"): (2, "", "error: highest weight must be dominant: (0, -1)\n"),
+    # without -- argparse takes -1,0,0 for an option
+    ("dim", "C3", "--", "-1,0,0"): (2, "", "error: highest weight must be dominant: (-1, 0, 0)\n"),
+    ("dim", "A1", HUGE): (2, "", HUGE_ERROR),
+    ("dim", "A2", "1," + HUGE): (2, "", HUGE_ERROR),
+    # each coefficient is readable, but the dimension has more than 4,300
+    # digits; 10^4299, of 4,300 digits, still prints
+    ("dim", "A1", "9" * 4300): (2, "", UNPRINTABLE_ERROR),
+    ("dim", "A2", ",".join(["9" * 2500] * 2)): (2, "", UNPRINTABLE_ERROR),
+    ("dim", "A1", "9" * 4299): (0, "1" + "0" * 4299 + "\n", ""),
+    ("table", "--format", "xml"): (2, "", "error: unknown format 'xml'; valid formats: md, csv, json\n"),
+    ("check", "Bn:n=--5"): (2, "", "error: bad triple parameter 'n=--5' in 'Bn:n=--5'\n"),
+    ("check", "Bn:n=\u00b2"): (2, "", "error: bad triple parameter 'n=\u00b2' in 'Bn:n=\u00b2'\n"),
+    ("check", "En:n=6"): (2, "", (
+        "error: unknown triple family 'En'; expected one of: Bn, B3special, Cn, F4horo, G2horo, PasF4, PasA1G2\n"
+    )),
+    ("check", "Bn:n=" + HUGE): (2, "", HUGE_ERROR),
+    # n has 2,201 digits and the denominator of mu_Theta more than 4,300
+    ("check", "Bn:n=1" + "0" * 2200): (2, "", UNPRINTABLE_ERROR),
+    ("verify", "--max-n", "12"): (0, "bl_h_num: PASS, cf_num: PASS, cf: PASS, stab: PASS\n", ""),
+    # Arabic-Indic digits pass str.isdecimal() and int() reads them: the
+    # program would answer for an input other than the one it prints back
+    ("check", "Bn:n=\u0665"): (2, "", "error: cannot read the integer '\u0665': digits must be ASCII 0-9\n"),
+    ("roots", "B\u0663"): (2, "", "error: cannot read the integer '\u0663': digits must be ASCII 0-9\n"),
+    ("flag", "B4", "--mark", "\u0662"): (2, "", "error: cannot read the integer '\u0662': digits must be ASCII 0-9\n"),
+    ("dim", "B2", "\u0661,0"): (2, "", "error: cannot read the integer '\u0661': digits must be ASCII 0-9\n"),
+    ("table", "--max-n", "\u0663"): (2, "", "error: cannot read the integer '\u0663': digits must be ASCII 0-9\n"),
+    ("verify", "--max-n", "\u0663"): (2, "", "error: cannot read the integer '\u0663': digits must be ASCII 0-9\n"),
+}
 
-    def test_a1(self, capsys):
-        code, out, _ = run_cli(capsys, "roots", "A1")
-        assert code == 0
-        assert "  (1)" in out.splitlines()
-        assert "count: 1" in out
 
-    def test_unsupported_type_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "roots", "E8")
-        assert code == 2
-        assert "unsupported type E8" in err
+def _shown(token):
+    """An argv token as a test id shows it: the empty one as '', a long one by its start and length."""
+    if not token:
+        return "''"
+    return token if len(token) <= 40 else f"{token[:10]}...({len(token)} chars)"
 
-    def test_garbage_type(self, capsys):
-        code, _, err = run_cli(capsys, "roots", "Q9")
-        assert code == 2
-        assert "Q9" in err
 
-    def test_non_decimal_rank(self, capsys):
-        code, _, err = run_cli(capsys, "roots", "B\u00b2")
-        assert code == 2
-        assert "cannot parse factor" in err
-
-    def test_rank_past_int_digit_limit(self, capsys):
-        assert run_cli(capsys, "roots", "A" + HUGE) == (2, "", HUGE_ERROR)
+@pytest.mark.parametrize("argv", list(TRANSCRIPTS), ids=lambda argv: " ".join(map(_shown, argv)))
+def test_transcript(capsys, argv):
+    assert run_cli(capsys, *argv) == TRANSCRIPTS[argv]
 
 
 class TestRankCap:
@@ -101,17 +174,6 @@ class TestRankCap:
         with pytest.raises(AssertionError, match="built a root system for A100"):
             run_cli(capsys, "roots", "A100")
 
-    def test_flag_is_not_capped(self, capsys):
-        code, out, _ = run_cli(capsys, "flag", "B101", "--mark", "1")
-        assert code == 0
-        assert "dimension: 201" in out  # the quadric Q^201
-
-    def test_huge_rank(self, capsys):
-        n = 99999999999999999999
-        code, out, _ = run_cli(capsys, "flag", f"B{n}", "--mark", "1")
-        assert code == 0
-        assert f"dimension: {2 * n - 1}\n" in out  # the quadric Q^(2n-1)
-        assert f"index: {2 * n - 1}\n" in out
 
 
 class TestCatalogEnumeratesNoRoots:
@@ -137,69 +199,6 @@ class TestCatalogEnumeratesNoRoots:
 
 
 class TestFlag:
-    def test_f4_adjoint(self, capsys):
-        code, out, _ = run_cli(capsys, "flag", "F4", "--mark", "1")
-        assert code == 0
-        assert "dimension: 15" in out
-        assert "picard_rank: 1" in out
-        assert "anticanonical: 8w1" in out
-        assert "index: 8" in out
-
-    def test_f4_two_step(self, capsys):
-        # the nodes in either order print the same bytes, with no index line
-        text = "type: F4  marked: 1,3\ndimension: 22\npicard_rank: 2\nanticanonical: 3w1+5w3\n"
-        for mark in ("1,3", "3,1"):
-            assert run_cli(capsys, "flag", "F4", "--mark", mark) == (0, text, "")
-
-    def test_b3_complete_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "flag", "B3", "--mark", "1,2,3")
-        assert code == 0
-        assert "dimension: 9" in out
-        assert "anticanonical: 2w1+2w2+2w3" in out
-
-    def test_product_marking(self, capsys):
-        text = "type: A1xG2  marked: 1.1,2.2\ndimension: 6\npicard_rank: 2\nanticanonical: 2w1.1+5w2.2\n"
-        assert run_cli(capsys, "flag", "A1xG2", "--mark", "1.1,2.2") == (0, text, "")
-
-    def test_product_needs_qualified_nodes(self, capsys):
-        code, _, err = run_cli(capsys, "flag", "A1xG2", "--mark", "2")
-        assert code == 2
-        assert "factor-qualified" in err
-
-    @pytest.mark.parametrize("spec,mark", [("B3", "1,1"), ("A1xG2", "1.1,1.1")])
-    def test_repeated_node(self, capsys, spec, mark):
-        code, _, err = run_cli(capsys, "flag", spec, "--mark", mark)
-        assert code == 2
-        assert "marked twice" in err
-
-    @pytest.mark.parametrize("spec,mark", [("B3", "\u00b2"), ("A1xG2", "\u00b2.1"), ("A1xG2", "1.\u00b2")])
-    def test_non_decimal_node(self, capsys, spec, mark):
-        code, _, err = run_cli(capsys, "flag", spec, "--mark", mark)
-        assert code == 2
-        assert err.startswith("error: node") and "Traceback" not in err
-
-    def test_node_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "flag", "B3", "--mark", "4")
-        assert code == 2
-        assert "1..3" in err
-
-    @pytest.mark.parametrize("mark", ["3.1", "0.1"])
-    def test_factor_out_of_range(self, capsys, mark):
-        expected = (2, "", f"error: node '{mark}': factor out of range 1..2\n")
-        assert run_cli(capsys, "flag", "A1xG2", "--mark", mark) == expected
-
-    @pytest.mark.parametrize("mark", ["", ","])
-    def test_empty_node(self, capsys, mark):
-        expected = (2, "", "error: node '': valid range is 1..3 within B3\n")
-        assert run_cli(capsys, "flag", "B3", "--mark", mark) == expected
-
-    def test_dimension_past_int_digit_limit(self, capsys):
-        # a rank of 3,001 digits is parsed, but the dimension has about 6,000
-        code, out, err = run_cli(capsys, "flag", "B1" + "0" * 3000, "--mark", "1" + "0" * 2999)
-        assert code == 2
-        assert out == ""
-        assert err == UNPRINTABLE_ERROR
-
     def test_wide_product_every_node_marked(self, capsys):
         # 16,000 factors: labels, the per-factor walk and the repeat check stay linear
         n = 16000
@@ -212,56 +211,13 @@ class TestFlag:
         assert "anticanonical: 2w1.1+2w2.1+" in out and out.endswith(f"+2w{n}.1\n")
         assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f} s"
 
-    @pytest.mark.parametrize(
-        "spec,mark",
-        [("B3", HUGE), ("A1xG2", HUGE + ".1"), ("A1xG2", "1." + HUGE), ("B" + HUGE, "1")],
-        ids=["node", "factor", "factor-node", "rank"],
-    )
-    def test_input_past_int_digit_limit(self, capsys, spec, mark):
-        assert run_cli(capsys, "flag", spec, "--mark", mark) == (2, "", HUGE_ERROR)
-
 
 class TestDim:
-    def test_g2_seven_dim_rep(self, capsys):
-        code, out, _ = run_cli(capsys, "dim", "G2", "0,1")
-        assert code == 0
-        assert out.strip() == "7"
-
-    def test_wrong_length(self, capsys):
-        code, _, err = run_cli(capsys, "dim", "G2", "0,1,0")
-        assert code == 2
-        assert "2 coefficients" in err
-
-    def test_non_dominant(self, capsys):
-        code, _, err = run_cli(capsys, "dim", "G2", "0,-1")
-        assert code == 2
-        assert "dominant" in err
-
     def test_leading_minus_needs_double_dash(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dim", "C3", "-1,0,0"])
         assert exc.value.code == 2
         assert "the following arguments are required: weight" in capsys.readouterr().err
-        code, out, err = run_cli(capsys, "dim", "C3", "--", "-1,0,0")
-        assert code == 2
-        assert out == ""
-        assert "highest weight must be dominant" in err
-        assert err == "error: highest weight must be dominant: (-1, 0, 0)\n"
-
-    @pytest.mark.parametrize("spec,weight", [("A1", HUGE), ("A2", "1," + HUGE)], ids=["A1", "A2"])
-    def test_weight_past_int_digit_limit(self, capsys, spec, weight):
-        assert run_cli(capsys, "dim", spec, weight) == (2, "", HUGE_ERROR)
-
-    @pytest.mark.parametrize(
-        "spec,weight", [("A1", "9" * 4300), ("A2", ",".join(["9" * 2500] * 2))], ids=["A1", "A2"]
-    )
-    def test_dimension_past_int_digit_limit(self, capsys, spec, weight):
-        # each coefficient is readable, but the dimension has more than 4,300 digits
-        assert run_cli(capsys, "dim", spec, weight) == (2, "", UNPRINTABLE_ERROR)
-
-    def test_dimension_at_int_digit_limit_prints(self, capsys):
-        # the early refusal takes only what cannot print: 10**4299 has 4,300 digits
-        assert run_cli(capsys, "dim", "A1", "9" * 4299) == (0, "1" + "0" * 4299 + "\n", "")
 
     def test_unprintable_dimension_is_refused_before_the_product(self, capsys, monkeypatch):
         # 1,600 factors of about 10,000 bits each: the product alone took over a minute
@@ -274,14 +230,12 @@ class TestDim:
 
 # sha256 of the stdout of the commands that enumerate roots and of the catalog
 # in each format, so that a change of order or format fails here: outputs too
-# long to read.  Short ones are asserted as text where their commands are tested,
-# and test_known_catalog_members pins `check` row by row
+# long to read.  Short ones are whole in TRANSCRIPTS, and
+# test_known_catalog_members pins `check` row by row
 PINNED_STDOUT = {
-    ("roots", "G2"): "4e1cefd6fc6fcd8ac83e75daf9d469ae32627cfff533c3f15a40daefd2b46e44",
     ("roots", "F4"): "d45be0caecc2b7f1511ce809ed6c61d1569fe2f2b160f968f8d29d9c602b6874",
     ("roots", "B3xC2"): "85d5e0743d10d461f6db91a6531e3edb8f9209c42922c33633f16a853cfe13d6",
     ("roots", "C12"): "a8664e134a1d252f62c8195a13de119bf71bc46b405d22fbe0f45908042ff47c",
-    ("dim", "F4", "1,1,1,1"): "1c717f8a059be27832853ed4d506f3c7ab305023703aefda2b2272606e13ee01",
     ("table", "--max-n", "12"): "be5acbf504dcc470bd1dce20f46da729070eeac5fdfef486d53ee717f852df7a",
     ("table", "--max-n", "12", "--format", "csv"): "af38dd68919c1158f2c1e1ca9aa98c664c5136014074dc2127b8a8eae444bb63",
     ("table", "--max-n", "12", "--format", "json"): "b2f7240b34057d313e2a68505fa327760c7863d56fa984c7aaea5babc1022aa4",
@@ -471,45 +425,12 @@ def test_plain_args_read_as_argparse_does(argv):
 
 
 class TestTable:
-    def test_csv_at_three(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--max-n", "3", "--format", "csv")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == ",".join(RECORD_FIELDS)
-        assert len(lines) == 10
-        joined = "\n".join(lines)
-        assert "1/3,6/23,Unstable" in joined
-        assert "1/2,4/7,Stable" in joined
-
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-n", "4", "--format", "json")
         assert code == 0
         records = json.loads(out)
         expected = [report_record(stability_verdict(t)) for t in enumerate_triples(4)]
         assert records == expected
-
-    def test_md_has_header_rule(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--max-n", "3")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("| triple")
-        assert set(lines[1]) <= {"|", "-"}
-        assert len(lines) == 11
-
-    def test_deterministic_output(self, capsys):
-        _, first, _ = run_cli(capsys, "table", "--max-n", "5", "--format", "csv")
-        _, second, _ = run_cli(capsys, "table", "--max-n", "5", "--format", "csv")
-        assert first == second
-
-    def test_bad_format(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--format", "xml")
-        assert code == 2
-        assert "xml" in err
-
-    def test_bad_bound(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--max-n", "2")
-        assert code == 2
-        assert "at least 3" in err
 
     def test_no_cell_holds_a_comma(self):
         # csv joins a row's cells with commas and md splits that line again.
@@ -540,34 +461,8 @@ class TestCheck:
         assert f"c1_Z: {2 * 10**30}\n" in out
         assert "verdict: Unstable\n" in out
 
-    def test_slope_past_int_digit_limit(self, capsys):
-        # n has 2,201 digits and the denominator of mu_Theta more than 4,300
-        code, out, err = run_cli(capsys, "check", "Bn:n=1" + "0" * 2200)
-        assert code == 2
-        assert out == ""
-        assert err == UNPRINTABLE_ERROR
-
-    def test_parameter_past_int_digit_limit(self, capsys):
-        assert run_cli(capsys, "check", "Bn:n=" + HUGE) == (2, "", HUGE_ERROR)
-
-    @pytest.mark.parametrize("triple_id", ["Bn:n=--5", "Bn:n=\u00b2"])
-    def test_bad_parameter(self, capsys, triple_id):
-        code, out, err = run_cli(capsys, "check", triple_id)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "invalid literal" not in err
-
-    def test_unknown_family(self, capsys):
-        code, _, err = run_cli(capsys, "check", "En:n=6")
-        assert code == 2
-        assert "unknown triple family" in err
-
 
 class TestVerify:
-    def test_all_fixtures_pass(self, capsys):
-        summary = "bl_h_num: PASS, cf_num: PASS, cf: PASS, stab: PASS\n"
-        assert run_cli(capsys, "verify", "--max-n", "12") == (0, summary, "")
-
     def test_corrupted_fixture_is_reported(self, capsys, monkeypatch):
         broken = dict(fixtures.BL_H_NUM[fixtures.Family.G2_HORO])
         broken["dim_X"] = lambda n, k: 8
@@ -578,16 +473,12 @@ class TestVerify:
         assert "bl_h_num: FAIL" in out
         assert "stab: PASS" in out
 
-    def test_bad_bound(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--max-n", "2")
-        assert code == 2
-        assert "at least 3" in err
-
 
 @pytest.mark.parametrize("command", ["table", "verify"])
 @pytest.mark.parametrize(
     "max_n, error",
     [
+        (2, "must be at least 3, got 2"),
         (cli.MAX_CATALOG_N + 1, f"must be at most {cli.MAX_CATALOG_N}, got {cli.MAX_CATALOG_N + 1}"),
         (10**6, f"must be at most {cli.MAX_CATALOG_N}, got {10**6}"),
         # int() reads each of these as 12: only ASCII decimal digits are read
@@ -595,32 +486,14 @@ class TestVerify:
         (" 12 ", "must be a decimal integer, got ' 12 '"),
         ("1_2", "must be a decimal integer, got '1_2'"),
     ],
-    ids=[str(cli.MAX_CATALOG_N + 1), str(10**6), "plus-sign", "spaces", "underscore"],
+    ids=["2", str(cli.MAX_CATALOG_N + 1), str(10**6), "plus-sign", "spaces", "underscore"],
 )
 def test_catalog_bound_is_refused(capsys, monkeypatch, command, max_n, error):
-    # fail at once, not after hours, if the catalog is started past the cap
+    # fail at once, not after hours, if the catalog is started past the cap;
+    # below 3 the refusal is the CLI's own, not enumerate_triples'
     monkeypatch.setattr(cli.pasquier, "enumerate_triples", None)
     monkeypatch.setattr(fixtures, "verify", None)
     assert run_cli(capsys, command, "--max-n", str(max_n)) == (2, "", f"error: --max-n {error}\n")
-
-
-@pytest.mark.parametrize(
-    "argv,digits",
-    [
-        (["check", "Bn:n=\u0665"], "'\u0665'"),
-        (["roots", "B\u0663"], "'\u0663'"),
-        (["flag", "B4", "--mark", "\u0662"], "'\u0662'"),
-        (["dim", "B2", "\u0661,0"], "'\u0661'"),
-        (["table", "--max-n", "\u0663"], "'\u0663'"),
-        (["verify", "--max-n", "\u0663"], "'\u0663'"),
-    ],
-    ids=["triple-id", "type-spec", "node-list", "weight", "table-max-n", "verify-max-n"],
-)
-def test_non_ascii_digits_are_refused(capsys, argv, digits):
-    # Arabic-Indic digits pass str.isdecimal() and int() reads them: the
-    # program would answer for an input other than the one it prints back
-    error = f"error: cannot read the integer {digits}: digits must be ASCII 0-9\n"
-    assert run_cli(capsys, *argv) == (2, "", error)
 
 
 def test_a_refusal_from_any_library_call_exits_two(capsys, monkeypatch):
