@@ -223,7 +223,10 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("B", 1), ValueError, "rank 1 too small for series B"),
     (lambda: SimpleFactor("G", 3), ValueError, "series G has rank 2"),
     # a type spec is refused with the message of the factor it names
+    (lambda: DynkinType.parse("D4"), UnsupportedTypeError, "unsupported type D4: only A, B, C, F4, G2"),
+    (lambda: DynkinType.parse("E6"), UnsupportedTypeError, "unsupported type E6: only A, B, C, F4, G2"),
     (lambda: DynkinType.parse("E8"), UnsupportedTypeError, "unsupported type E8: only A, B, C, F4, G2"),
+    (lambda: DynkinType.parse("B1"), ValueError, "rank 1 too small for series B"),
     (lambda: DynkinType.parse("C1"), ValueError, "rank 1 too small for series C"),
     (lambda: DynkinType.parse("F6"), ValueError, "series F has rank 4"),
     (lambda: DynkinType.parse("G3"), ValueError, "series G has rank 2"),
@@ -258,7 +261,8 @@ def test_record_equals_its_plain_tuple():
     (lambda: SimpleFactor("B", 3)._replace(rank=4.0), ValueError, "rank of series B must be an int, got 4.0"),
 ], ids=[
     "unsupported", "rank-too-small", "fixed-rank",
-    "parse-unsupported", "parse-rank-too-small", "parse-fixed-rank-f", "parse-fixed-rank-g", "parse-rank-zero",
+    "parse-unsupported-d4", "parse-unsupported-e6", "parse-unsupported-e8",
+    "parse-rank-too-small-b", "parse-rank-too-small-c", "parse-fixed-rank-f", "parse-fixed-rank-g", "parse-rank-zero",
     "no-factor", "pair-factor", "str-factor", "list-factors",
     "spinor-n", "spinor-k", "cn", "no-parameters",
     "family-name", "spinor-float-n", "spinor-bool-n", "cn-float-k", "cn-fraction-n",
